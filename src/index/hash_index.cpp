@@ -6,7 +6,16 @@ namespace manymap {
 
 namespace {
 
-using detail::bucket_hash;
+/// Finalizer-style bit mixer that places keys in the open-addressing
+/// bucket table.
+u64 bucket_hash(u64 x) {
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdULL;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ULL;
+  x ^= x >> 33;
+  return x;
+}
 
 std::size_t table_size_for(std::size_t keys) {
   std::size_t n = 16;
@@ -15,6 +24,17 @@ std::size_t table_size_for(std::size_t keys) {
 }
 
 }  // namespace
+
+MinimizerIndex::MinimizerIndex(SketchParams params, std::vector<ContigMeta> contigs,
+                               std::size_t num_keys, std::span<const Bucket> buckets,
+                               std::span<const IndexEntry> entries,
+                               std::shared_ptr<const void> storage)
+    : params_(params),
+      contigs_(std::move(contigs)),
+      num_keys_(num_keys),
+      buckets_(buckets),
+      entries_(entries),
+      storage_(std::move(storage)) {}
 
 MinimizerIndex MinimizerIndex::build(const Reference& ref, const SketchParams& params) {
   struct Raw {
@@ -26,7 +46,7 @@ MinimizerIndex MinimizerIndex::build(const Reference& ref, const SketchParams& p
     const auto mins = sketch(ref.contig(cid).codes, static_cast<u32>(cid), params);
     raws.reserve(raws.size() + mins.size());
     for (const auto& m : mins)
-      raws.push_back({m.key, IndexEntry{m.rid, m.pos, m.strand_rev}});
+      raws.push_back({m.key, IndexEntry{m.rid, m.pos, m.strand_rev ? 1u : 0u}});
   }
   std::sort(raws.begin(), raws.end(), [](const Raw& a, const Raw& b) {
     if (a.key != b.key) return a.key < b.key;
@@ -34,51 +54,50 @@ MinimizerIndex MinimizerIndex::build(const Reference& ref, const SketchParams& p
     return a.entry.pos < b.entry.pos;
   });
 
-  MinimizerIndex idx;
-  idx.params_ = params;
+  struct Tables {
+    std::vector<Bucket> buckets;
+    std::vector<IndexEntry> entries;
+  };
+  auto tables = std::make_shared<Tables>();
+  std::vector<ContigMeta> contigs;
   for (std::size_t cid = 0; cid < ref.num_contigs(); ++cid)
-    idx.contigs_.push_back({ref.contig(cid).name, ref.contig(cid).size()});
-  idx.entries_.reserve(raws.size());
+    contigs.push_back({ref.contig(cid).name, ref.contig(cid).size()});
+  tables->entries.reserve(raws.size());
 
   // Count distinct keys and fill entries grouped by key.
   std::size_t distinct = 0;
   for (std::size_t i = 0; i < raws.size(); ++i) {
     if (i == 0 || raws[i].key != raws[i - 1].key) ++distinct;
-    idx.entries_.push_back(raws[i].entry);
+    tables->entries.push_back(raws[i].entry);
   }
-  idx.num_keys_ = distinct;
-  idx.buckets_.assign(table_size_for(distinct), Bucket{});
+  std::vector<Bucket>& buckets = tables->buckets;
+  buckets.assign(table_size_for(distinct), Bucket{});
 
-  const std::size_t mask = idx.buckets_.size() - 1;
+  const std::size_t mask = buckets.size() - 1;
   std::size_t i = 0;
   while (i < raws.size()) {
     std::size_t j = i;
     while (j < raws.size() && raws[j].key == raws[i].key) ++j;
     std::size_t slot = bucket_hash(raws[i].key) & mask;
-    while (idx.buckets_[slot].key != ~0ULL) slot = (slot + 1) & mask;
-    idx.buckets_[slot] = Bucket{raws[i].key, i, static_cast<u32>(j - i)};
+    while (buckets[slot].key != ~0ULL) slot = (slot + 1) & mask;
+    buckets[slot] = Bucket{raws[i].key, i, static_cast<u32>(j - i)};
     i = j;
   }
-  return idx;
+  return MinimizerIndex(params, std::move(contigs), distinct, tables->buckets, tables->entries,
+                        tables);
 }
 
-const MinimizerIndex::Bucket* MinimizerIndex::find_bucket(u64 key) const {
-  if (buckets_.empty()) return nullptr;
+std::span<const IndexEntry> MinimizerIndex::lookup(u64 key) const {
+  if (buckets_.empty()) return {};
   const std::size_t mask = buckets_.size() - 1;
   std::size_t slot = bucket_hash(key) & mask;
   for (std::size_t probes = 0; probes <= buckets_.size(); ++probes) {
     const Bucket& b = buckets_[slot];
-    if (b.key == key) return &b;
-    if (b.key == ~0ULL) return nullptr;
+    if (b.key == key) return entries_.subspan(b.offset, b.count);
+    if (b.key == ~0ULL) return {};
     slot = (slot + 1) & mask;
   }
-  return nullptr;
-}
-
-std::span<const IndexEntry> MinimizerIndex::lookup(u64 key) const {
-  const Bucket* b = find_bucket(key);
-  if (b == nullptr) return {};
-  return {entries_.data() + b->offset, b->count};
+  return {};
 }
 
 u32 MinimizerIndex::occurrence_cutoff(double frac) const {
@@ -98,17 +117,21 @@ u64 MinimizerIndex::memory_bytes() const {
          contigs_.size() * sizeof(ContigMeta);
 }
 
-MinimizerIndex MinimizerIndex::from_parts(SketchParams params, std::vector<ContigMeta> contigs,
-                                          std::vector<Bucket> buckets,
-                                          std::vector<IndexEntry> entries,
-                                          std::size_t num_keys) {
-  MinimizerIndex idx;
-  idx.params_ = params;
-  idx.contigs_ = std::move(contigs);
-  idx.buckets_ = std::move(buckets);
-  idx.entries_ = std::move(entries);
-  idx.num_keys_ = num_keys;
-  return idx;
+std::string index_matches_reference(const Reference& ref, const MinimizerIndex& index) {
+  const auto& contigs = index.contigs();
+  if (contigs.size() != ref.num_contigs())
+    return "index describes " + std::to_string(contigs.size()) + " contigs, reference has " +
+           std::to_string(ref.num_contigs());
+  for (std::size_t i = 0; i < contigs.size(); ++i) {
+    const auto& want = ref.contig(i);
+    if (contigs[i].name != want.name)
+      return "contig " + std::to_string(i) + " is '" + contigs[i].name +
+             "' in the index but '" + want.name + "' in the reference";
+    if (contigs[i].length != want.size())
+      return "contig '" + want.name + "' is " + std::to_string(contigs[i].length) +
+             " bp in the index but " + std::to_string(want.size()) + " bp in the reference";
+  }
+  return "";
 }
 
 }  // namespace manymap

@@ -3,38 +3,32 @@
 // addressing hash table key -> (offset, count) into the sorted entry
 // array. Frequent keys (repeats) can be masked at query time via a
 // max-occurrence cutoff.
+//
+// The bucket and entry records are the MMMI v2 on-disk records
+// (index_io.hpp), so the index has one layout whether it was built in
+// memory, streamed from a file, or served straight out of a mapped file:
+// lookups read spans over storage the index keeps alive.
 #pragma once
 
-#include <optional>
+#include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "index/minimizer.hpp"
 
 namespace manymap {
 
-namespace detail {
-/// Finalizer-style bit mixer used to place keys in the open-addressing
-/// bucket table. Shared with IndexView so the zero-copy on-disk table is
-/// probed exactly like the in-memory one.
-inline u64 bucket_hash(u64 x) {
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ULL;
-  x ^= x >> 33;
-  return x;
-}
-}  // namespace detail
-
-/// One reference hit of a minimizer key.
+/// One reference hit of a minimizer key (16 bytes, the MMMI v2 entry).
 struct IndexEntry {
   u32 rid = 0;
-  u32 pos = 0;             ///< last base of the k-mer on the reference
-  bool strand_rev = false; ///< canonical k-mer was reverse strand on the ref
+  u32 pos = 0;         ///< last base of the k-mer on the reference
+  u32 strand_rev = 0;  ///< 1 if the canonical k-mer was reverse strand on the ref
+  u32 pad = 0;         ///< always 0
 
   friend bool operator==(const IndexEntry&, const IndexEntry&) = default;
 };
+static_assert(sizeof(IndexEntry) == 16);
 
 struct ContigMeta {
   std::string name;
@@ -43,10 +37,28 @@ struct ContigMeta {
 
 class MinimizerIndex {
  public:
+  /// One slot of the open-addressing table (24 bytes, the MMMI v2 bucket).
+  struct Bucket {
+    u64 key = ~0ULL;  ///< ~0 marks an empty slot
+    u64 offset = 0;   ///< first hit in the entry array
+    u32 count = 0;    ///< number of hits
+    u32 pad = 0;      ///< always 0
+  };
+  static_assert(sizeof(Bucket) == 24);
+
   MinimizerIndex() = default;
 
   /// Build from a reference.
   static MinimizerIndex build(const Reference& ref, const SketchParams& params);
+
+  /// Adopt a validated table image. `buckets` (power-of-two size or empty)
+  /// and `entries` must lie in `storage` — owned arrays or a mapped file —
+  /// which the index, and every copy of it, keeps alive. Every non-empty
+  /// bucket's [offset, offset + count) must lie inside `entries`; the
+  /// index_io loaders prove that before calling.
+  MinimizerIndex(SketchParams params, std::vector<ContigMeta> contigs, std::size_t num_keys,
+                 std::span<const Bucket> buckets, std::span<const IndexEntry> entries,
+                 std::shared_ptr<const void> storage);
 
   /// All hits for a key (empty span if absent).
   std::span<const IndexEntry> lookup(u64 key) const;
@@ -58,6 +70,8 @@ class MinimizerIndex {
   const std::vector<ContigMeta>& contigs() const { return contigs_; }
   std::size_t num_keys() const { return num_keys_; }
   std::size_t num_entries() const { return entries_.size(); }
+  std::span<const Bucket> buckets() const { return buckets_; }
+  std::span<const IndexEntry> entries() const { return entries_; }
 
   /// Occurrence threshold above which keys are considered repetitive; set
   /// from the top `frac` most frequent keys like minimap2's -f option.
@@ -66,26 +80,20 @@ class MinimizerIndex {
   /// Approximate resident size in bytes (Table 5 "Index Size").
   u64 memory_bytes() const;
 
-  // --- serialization interface (used by index_io) ---
-  struct Bucket {
-    u64 key = ~0ULL;
-    u64 offset = 0;
-    u32 count = 0;
-  };
-  const std::vector<Bucket>& buckets() const { return buckets_; }
-  const std::vector<IndexEntry>& entries() const { return entries_; }
-  static MinimizerIndex from_parts(SketchParams params, std::vector<ContigMeta> contigs,
-                                   std::vector<Bucket> buckets, std::vector<IndexEntry> entries,
-                                   std::size_t num_keys);
-
  private:
   SketchParams params_{};
   std::vector<ContigMeta> contigs_;
-  std::vector<Bucket> buckets_;       // open addressing, power-of-two size
-  std::vector<IndexEntry> entries_;   // grouped by key
   std::size_t num_keys_ = 0;
-
-  const Bucket* find_bucket(u64 key) const;
+  std::span<const Bucket> buckets_;       // open addressing, power-of-two size
+  std::span<const IndexEntry> entries_;   // grouped by key
+  std::shared_ptr<const void> storage_;   // owns what the spans point into
 };
+
+/// "" when `index` describes `ref` (same contig count, names, lengths,
+/// in order); otherwise an actionable description of the first mismatch.
+/// An index built from another genome would return positions into the
+/// wrong contigs, so every caller that pairs a loaded index with a
+/// reference checks this first.
+std::string index_matches_reference(const Reference& ref, const MinimizerIndex& index);
 
 }  // namespace manymap

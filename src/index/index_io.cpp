@@ -7,7 +7,9 @@
 #include <cerrno>
 #include <cstddef>
 #include <cstring>
+#include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 
 #include "fault/fault.hpp"
@@ -22,6 +24,8 @@ namespace {
 constexpr u64 kSectionAlign = 16;
 constexpr u32 kMaxK = 28;  // SketchParams contract: 2k bits fit in u64
 constexpr std::size_t kHeaderHashedBytes = offsetof(IndexHeader, header_checksum);
+
+using Bucket = MinimizerIndex::Bucket;
 
 std::string errno_text() {
   const int err = errno;
@@ -95,11 +99,11 @@ std::optional<LoadError> validate_header(const IndexHeader& h, u64 actual_bytes,
 
   // Count sanity before any size arithmetic: each bound also proves the
   // later offset/byte sums cannot overflow u64.
-  if (h.n_buckets > h.file_bytes / sizeof(DiskBucket))
+  if (h.n_buckets > h.file_bytes / sizeof(Bucket))
     return err(IndexIoStatus::kMalformed, path,
                "bucket count " + std::to_string(h.n_buckets) + " cannot fit in a " +
                    std::to_string(h.file_bytes) + "-byte file");
-  if (h.n_entries > h.file_bytes / sizeof(DiskEntry))
+  if (h.n_entries > h.file_bytes / sizeof(IndexEntry))
     return err(IndexIoStatus::kMalformed, path,
                "entry count " + std::to_string(h.n_entries) + " cannot fit in a " +
                    std::to_string(h.file_bytes) + "-byte file");
@@ -127,9 +131,9 @@ std::optional<LoadError> validate_header(const IndexHeader& h, u64 actual_bytes,
   // containment.
   const u64 contigs_off = sizeof(IndexHeader);
   const u64 buckets_off = round_up(contigs_off + h.contigs.bytes, kSectionAlign);
-  const u64 buckets_bytes = h.n_buckets * sizeof(DiskBucket);
+  const u64 buckets_bytes = h.n_buckets * sizeof(Bucket);
   const u64 entries_off = round_up(buckets_off + buckets_bytes, kSectionAlign);
-  const u64 entries_bytes = h.n_entries * sizeof(DiskEntry);
+  const u64 entries_bytes = h.n_entries * sizeof(IndexEntry);
   if (h.contigs.offset != contigs_off || h.buckets.offset != buckets_off ||
       h.buckets.bytes != buckets_bytes || h.entries.offset != entries_off ||
       h.entries.bytes != entries_bytes || entries_off + entries_bytes != h.file_bytes)
@@ -152,13 +156,13 @@ std::optional<LoadError> check_section_sum(const char* name, const IndexSectionD
 /// depends on it (offset/count pairs index the entry array directly).
 std::optional<LoadError> validate_parts(const IndexHeader& h,
                                         const std::vector<ContigMeta>& contigs,
-                                        const DiskBucket* buckets, const DiskEntry* entries,
+                                        std::span<const Bucket> buckets,
+                                        std::span<const IndexEntry> entries,
                                         const std::string& path) {
   u64 non_empty = 0;
   u64 total_count = 0;
-  for (u64 i = 0; i < h.n_buckets; ++i) {
-    DiskBucket b;
-    std::memcpy(&b, buckets + i, sizeof b);
+  for (u64 i = 0; i < buckets.size(); ++i) {
+    const Bucket& b = buckets[i];
     if (b.pad != 0)
       return err(IndexIoStatus::kMalformed, path,
                  "bucket " + std::to_string(i) + " has nonzero padding");
@@ -184,9 +188,8 @@ std::optional<LoadError> validate_parts(const IndexHeader& h,
     return err(IndexIoStatus::kMalformed, path,
                "bucket counts sum to " + std::to_string(total_count) + ", header promises " +
                    std::to_string(h.n_entries) + " entries");
-  for (u64 i = 0; i < h.n_entries; ++i) {
-    DiskEntry e;
-    std::memcpy(&e, entries + i, sizeof e);
+  for (u64 i = 0; i < entries.size(); ++i) {
+    const IndexEntry& e = entries[i];
     if (e.pad != 0 || e.strand_rev > 1)
       return err(IndexIoStatus::kMalformed, path,
                  "entry " + std::to_string(i) + " has nonzero padding or bad strand flag");
@@ -198,25 +201,11 @@ std::optional<LoadError> validate_parts(const IndexHeader& h,
   return std::nullopt;
 }
 
-MinimizerIndex convert_parts(const IndexHeader& h, std::vector<ContigMeta> contigs,
-                             const DiskBucket* buckets, const DiskEntry* entries) {
-  std::vector<MinimizerIndex::Bucket> mem_buckets(h.n_buckets);
-  for (u64 i = 0; i < h.n_buckets; ++i) {
-    DiskBucket b;
-    std::memcpy(&b, buckets + i, sizeof b);
-    mem_buckets[i] = {b.key, b.offset, b.count};
-  }
-  std::vector<IndexEntry> mem_entries(h.n_entries);
-  for (u64 i = 0; i < h.n_entries; ++i) {
-    DiskEntry e;
-    std::memcpy(&e, entries + i, sizeof e);
-    mem_entries[i] = {e.rid, e.pos, e.strand_rev != 0};
-  }
+SketchParams sketch_params(const IndexHeader& h) {
   SketchParams params;
   params.k = h.k;
   params.w = h.w;
-  return MinimizerIndex::from_parts(params, std::move(contigs), std::move(mem_buckets),
-                                    std::move(mem_entries), h.n_keys);
+  return params;
 }
 
 /// Parse the contig section payload; bounds were proven by
@@ -254,61 +243,6 @@ std::optional<LoadError> check_padding(const u8* p, u64 n, const std::string& pa
     if (p[i] != 0)
       return err(IndexIoStatus::kMalformed, path, "nonzero bytes in section padding");
   return std::nullopt;
-}
-
-/// Shared mapped-file front half for the mmap and view loaders: open,
-/// validate header + sections, parse contigs. On success the out
-/// pointers alias `file`.
-struct MappedParse {
-  IndexHeader hdr{};
-  std::vector<ContigMeta> contigs;
-  const DiskBucket* buckets = nullptr;
-  const DiskEntry* entries = nullptr;
-};
-
-std::optional<LoadError> parse_mapped(const MappedFile& file, const IndexLoadOptions& options,
-                                      const std::string& path, MappedParse& out,
-                                      u64& verified_bytes) {
-  const u8* base = file.data();
-  const u64 size = file.size();
-  if (size < sizeof(IndexHeader))
-    return err(IndexIoStatus::kTruncated, path,
-               "file is " + std::to_string(size) + " bytes, a v2 header needs " +
-                   std::to_string(sizeof(IndexHeader)));
-  if (MM_INJECT_FAIL("index.io.short_read"))
-    return err(IndexIoStatus::kTruncated, path, "injected short read at index.io.short_read");
-  std::memcpy(&out.hdr, base, sizeof out.hdr);
-  const IndexHeader& h = out.hdr;
-  if (auto e = validate_header(h, size, path)) return e;
-
-  if (options.verify_checksums) {
-    if (auto e = check_section_sum("contigs", h.contigs,
-                                   xxh64(base + h.contigs.offset, h.contigs.bytes), path))
-      return e;
-    if (auto e = check_section_sum("buckets", h.buckets,
-                                   xxh64(base + h.buckets.offset, h.buckets.bytes), path))
-      return e;
-    if (auto e = check_section_sum("entries", h.entries,
-                                   xxh64(base + h.entries.offset, h.entries.bytes), path))
-      return e;
-    verified_bytes += h.contigs.bytes + h.buckets.bytes + h.entries.bytes;
-  }
-  if (MM_INJECT_FAIL("index.corrupt"))
-    return err(IndexIoStatus::kChecksumMismatch, path, "injected corruption at index.corrupt");
-
-  if (auto e = check_padding(base + h.contigs.offset + h.contigs.bytes,
-                             h.buckets.offset - (h.contigs.offset + h.contigs.bytes), path))
-    return e;
-  if (auto e = check_padding(base + h.buckets.offset + h.buckets.bytes,
-                             h.entries.offset - (h.buckets.offset + h.buckets.bytes), path))
-    return e;
-  if (auto e = parse_contigs(base + h.contigs.offset, h, out.contigs, path)) return e;
-
-  // Sections are 16-byte aligned in the file and the mapping is
-  // page-aligned, so in-place typed access is well-defined.
-  out.buckets = reinterpret_cast<const DiskBucket*>(base + h.buckets.offset);
-  out.entries = reinterpret_cast<const DiskEntry*>(base + h.entries.offset);
-  return validate_parts(h, out.contigs, out.buckets, out.entries, path);
 }
 
 void append_pod(std::string& out, const auto& v) {
@@ -352,25 +286,16 @@ std::string serialize_index(const MinimizerIndex& index) {
     append_pod(contig_blob, c.length);
   }
 
-  std::string bucket_blob;
-  bucket_blob.reserve(index.buckets().size() * sizeof(DiskBucket));
-  for (const auto& b : index.buckets()) {
-    DiskBucket db{b.key, b.offset, b.count, 0};
-    append_pod(bucket_blob, db);
-  }
-
-  std::string entry_blob;
-  entry_blob.reserve(index.entries().size() * sizeof(DiskEntry));
-  for (const auto& e : index.entries()) {
-    DiskEntry de{e.rid, e.pos, e.strand_rev ? 1u : 0u, 0};
-    append_pod(entry_blob, de);
-  }
+  // The in-memory records are the on-disk records, so the table sections
+  // are the index's own bytes.
+  const auto buckets = std::as_bytes(index.buckets());
+  const auto entries = std::as_bytes(index.entries());
 
   h.contigs = {sizeof(IndexHeader), contig_blob.size(), xxh64(contig_blob.data(), contig_blob.size())};
-  h.buckets = {round_up(h.contigs.offset + h.contigs.bytes, kSectionAlign), bucket_blob.size(),
-               xxh64(bucket_blob.data(), bucket_blob.size())};
-  h.entries = {round_up(h.buckets.offset + h.buckets.bytes, kSectionAlign), entry_blob.size(),
-               xxh64(entry_blob.data(), entry_blob.size())};
+  h.buckets = {round_up(h.contigs.offset + h.contigs.bytes, kSectionAlign), buckets.size(),
+               xxh64(buckets.data(), buckets.size())};
+  h.entries = {round_up(h.buckets.offset + h.buckets.bytes, kSectionAlign), entries.size(),
+               xxh64(entries.data(), entries.size())};
   h.file_bytes = h.entries.offset + h.entries.bytes;
   h.header_checksum = xxh64(&h, kHeaderHashedBytes);
 
@@ -379,9 +304,9 @@ std::string serialize_index(const MinimizerIndex& index) {
   append_pod(out, h);
   out.append(contig_blob);
   out.append(h.buckets.offset - out.size(), '\0');
-  out.append(bucket_blob);
+  out.append(reinterpret_cast<const char*>(buckets.data()), buckets.size());
   out.append(h.entries.offset - out.size(), '\0');
-  out.append(entry_blob);
+  out.append(reinterpret_cast<const char*>(entries.data()), entries.size());
   return out;
 }
 
@@ -501,11 +426,16 @@ IndexLoadResult try_load_index_stream(const std::string& path, const IndexLoadOp
   if (auto e = skip_padding(h.buckets.offset - (h.contigs.offset + h.contigs.bytes)))
     return fail(*e);
 
+  struct Tables {
+    std::vector<Bucket> buckets;
+    std::vector<IndexEntry> entries;
+  };
+  auto tables = std::make_shared<Tables>();
   sum.reset();
-  std::vector<DiskBucket> buckets;
-  buckets.reserve(h.n_buckets);  // bounded: n_buckets <= file size / sizeof(DiskBucket)
+  std::vector<Bucket>& buckets = tables->buckets;
+  buckets.reserve(h.n_buckets);  // bounded: n_buckets <= file size / sizeof(Bucket)
   for (u64 i = 0; i < h.n_buckets; ++i) {
-    DiskBucket b{};
+    Bucket b{};
     if (!in.try_read_pod(b)) return fail(truncated("bucket table"));
     sum.update(&b, sizeof b);
     buckets.push_back(b);
@@ -518,10 +448,10 @@ IndexLoadResult try_load_index_stream(const std::string& path, const IndexLoadOp
     return fail(*e);
 
   sum.reset();
-  std::vector<DiskEntry> entries;
-  entries.reserve(h.n_entries);  // bounded: n_entries <= file size / sizeof(DiskEntry)
+  std::vector<IndexEntry>& entries = tables->entries;
+  entries.reserve(h.n_entries);  // bounded: n_entries <= file size / sizeof(IndexEntry)
   for (u64 i = 0; i < h.n_entries; ++i) {
-    DiskEntry e{};
+    IndexEntry e{};
     if (!in.try_read_pod(e)) return fail(truncated("entry array"));
     sum.update(&e, sizeof e);
     entries.push_back(e);
@@ -533,8 +463,9 @@ IndexLoadResult try_load_index_stream(const std::string& path, const IndexLoadOp
   if (MM_INJECT_FAIL("index.corrupt"))
     return fail(err(IndexIoStatus::kChecksumMismatch, path, "injected corruption at index.corrupt"));
 
-  if (auto e = validate_parts(h, contigs, buckets.data(), entries.data(), path)) return fail(*e);
-  res.index = convert_parts(h, std::move(contigs), buckets.data(), entries.data());
+  if (auto e = validate_parts(h, contigs, buckets, entries, path)) return fail(*e);
+  res.index = MinimizerIndex(sketch_params(h), std::move(contigs), h.n_keys, buckets, entries,
+                             std::move(tables));
   return res;
 }
 
@@ -547,70 +478,54 @@ IndexLoadResult try_load_index_mmap(const std::string& path, const IndexLoadOpti
   };
   if (MM_INJECT_FAIL("index.io.open"))
     return fail(err(IndexIoStatus::kOpenFailed, path, "injected open failure at index.io.open"));
-  MappedFile file;
-  if (!file.open(path)) return fail(err(IndexIoStatus::kOpenFailed, path, file.last_error()));
-  MappedParse parsed;
-  if (auto e = parse_mapped(file, options, path, parsed, res.checksum_bytes_verified))
-    return fail(*e);
-  // Consecutive bulk conversion — single pass over the mapped range.
-  res.index = convert_parts(parsed.hdr, std::move(parsed.contigs), parsed.buckets, parsed.entries);
-  return res;
-}
-
-// Internal initializer for IndexView (kept out of the public API).
-struct IndexViewAccess {
-  static void init(IndexView& v, MappedFile&& file, MappedParse&& parsed) {
-    v.file_ = std::move(file);
-    v.params_.k = parsed.hdr.k;
-    v.params_.w = parsed.hdr.w;
-    v.contigs_ = std::move(parsed.contigs);
-    v.buckets_ = parsed.buckets;
-    v.entries_ = parsed.entries;
-    v.n_buckets_ = parsed.hdr.n_buckets;
-    v.n_entries_ = parsed.hdr.n_entries;
-    v.n_keys_ = parsed.hdr.n_keys;
-  }
-};
-
-IndexViewResult try_load_index_view(const std::string& path, const IndexLoadOptions& options) {
-  IndexViewResult res;
-  auto fail = [&res](LoadError e) {
-    res.status = e.status;
-    res.message = std::move(e.message);
-    return std::move(res);
-  };
-  if (MM_INJECT_FAIL("index.io.open"))
-    return fail(err(IndexIoStatus::kOpenFailed, path, "injected open failure at index.io.open"));
-  MappedFile file;
-  if (!file.open(path)) return fail(err(IndexIoStatus::kOpenFailed, path, file.last_error()));
-  MappedParse parsed;
-  if (auto e = parse_mapped(file, options, path, parsed, res.checksum_bytes_verified))
-    return fail(*e);
-  IndexViewAccess::init(res.view, std::move(file), std::move(parsed));
-  return res;
-}
-
-std::span<const DiskEntry> IndexView::lookup(u64 key) const {
-  if (n_buckets_ == 0) return {};
-  const u64 mask = n_buckets_ - 1;
-  u64 slot = detail::bucket_hash(key) & mask;
-  for (u64 probes = 0; probes <= n_buckets_; ++probes) {
-    const DiskBucket& b = buckets_[slot];
-    if (b.key == key) return {entries_ + b.offset, b.count};
-    if (b.key == ~0ULL) return {};
-    slot = (slot + 1) & mask;
-  }
-  return {};
-}
-
-MinimizerIndex IndexView::materialize() const {
+  auto file = std::make_shared<MappedFile>();
+  if (!file->open(path)) return fail(err(IndexIoStatus::kOpenFailed, path, file->last_error()));
+  const u8* base = file->data();
+  const u64 size = file->size();
+  if (size < sizeof(IndexHeader))
+    return fail(err(IndexIoStatus::kTruncated, path,
+                    "file is " + std::to_string(size) + " bytes, a v2 header needs " +
+                        std::to_string(sizeof(IndexHeader))));
+  if (MM_INJECT_FAIL("index.io.short_read"))
+    return fail(err(IndexIoStatus::kTruncated, path, "injected short read at index.io.short_read"));
   IndexHeader h;
-  h.k = params_.k;
-  h.w = params_.w;
-  h.n_buckets = n_buckets_;
-  h.n_entries = n_entries_;
-  h.n_keys = n_keys_;
-  return convert_parts(h, contigs_, buckets_, entries_);
+  std::memcpy(&h, base, sizeof h);
+  if (auto e = validate_header(h, size, path)) return fail(*e);
+
+  if (options.verify_checksums) {
+    if (auto e = check_section_sum("contigs", h.contigs,
+                                   xxh64(base + h.contigs.offset, h.contigs.bytes), path))
+      return fail(*e);
+    if (auto e = check_section_sum("buckets", h.buckets,
+                                   xxh64(base + h.buckets.offset, h.buckets.bytes), path))
+      return fail(*e);
+    if (auto e = check_section_sum("entries", h.entries,
+                                   xxh64(base + h.entries.offset, h.entries.bytes), path))
+      return fail(*e);
+    res.checksum_bytes_verified += h.contigs.bytes + h.buckets.bytes + h.entries.bytes;
+  }
+  if (MM_INJECT_FAIL("index.corrupt"))
+    return fail(err(IndexIoStatus::kChecksumMismatch, path, "injected corruption at index.corrupt"));
+
+  if (auto e = check_padding(base + h.contigs.offset + h.contigs.bytes,
+                             h.buckets.offset - (h.contigs.offset + h.contigs.bytes), path))
+    return fail(*e);
+  if (auto e = check_padding(base + h.buckets.offset + h.buckets.bytes,
+                             h.entries.offset - (h.buckets.offset + h.buckets.bytes), path))
+    return fail(*e);
+  std::vector<ContigMeta> contigs;
+  if (auto e = parse_contigs(base + h.contigs.offset, h, contigs, path)) return fail(*e);
+
+  // Sections are 16-byte aligned in the file and the mapping is
+  // page-aligned, so the records are read in place; the index keeps the
+  // mapping alive instead of copying out of it.
+  const std::span buckets(reinterpret_cast<const Bucket*>(base + h.buckets.offset), h.n_buckets);
+  const std::span entries(reinterpret_cast<const IndexEntry*>(base + h.entries.offset),
+                          h.n_entries);
+  if (auto e = validate_parts(h, contigs, buckets, entries, path)) return fail(*e);
+  res.index = MinimizerIndex(sketch_params(h), std::move(contigs), h.n_keys, buckets, entries,
+                             std::move(file));
+  return res;
 }
 
 MinimizerIndex load_index_stream(const std::string& path) {

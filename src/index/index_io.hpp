@@ -1,39 +1,41 @@
-// Binary index serialization (MMMI format v2) with three load paths
+// Binary index serialization (MMMI format v2) with two load paths
 // (paper §4.4.2) and a durability contract (DESIGN.md):
 //   load paths
 //     try_load_index_stream — minimap2-style fragmented loading: many
-//       small reads, per-record parsing, incremental allocation.
-//     try_load_index_mmap   — manymap's path: map the file once and
-//       bulk-copy the arrays ("two times faster on KNL").
-//     try_load_index_view   — zero-copy: bucket/entry arrays are read in
-//       place from the mapping, so N processes share one physical copy
-//       of the index through the page cache.
+//       small reads, per-record parsing, incremental allocation into the
+//       index's own arrays (the paper's baseline).
+//     try_load_index_mmap   — manymap's path: map the file once, validate
+//       it, and serve lookups straight from the mapping. Nothing is
+//       copied, so processes on one host share one physical copy of the
+//       table through the page cache.
 //   durability
 //     The file carries a fully validated fixed header plus per-section
 //     xxh64 checksums; every count is bounds-checked against the file
 //     size before allocation; loads never abort on garbage — they
 //     return a structured IndexLoadResult. save_index publishes
 //     atomically (tmp + fsync + rename + dir fsync), so a torn write
-//     can never be observed under the final path.
+//     can never be observed under the final path. Index files are
+//     replaced by rename and never rewritten in place: a mapped index
+//     keeps serving the old inode, whereas truncating it would SIGBUS
+//     every process that has it mapped.
 //
 // File layout v2 (little-endian, sections 16-byte aligned):
 //   IndexHeader (160 bytes, checksummed)
 //   contigs section  | per contig: name_len u64, name bytes, length u64
-//   buckets section  | DiskBucket array (open-addressing table image)
-//   entries section  | DiskEntry array (hits grouped by key)
+//   buckets section  | MinimizerIndex::Bucket array (open-addressing table image)
+//   entries section  | IndexEntry array (hits grouped by key)
+// The bucket and entry records are the in-memory records of
+// MinimizerIndex, byte for byte.
 #pragma once
 
-#include <span>
 #include <string>
 
 #include "index/hash_index.hpp"
-#include "io/mapped_file.hpp"
 
 namespace manymap {
 
 // ---------------------------------------------------------------------------
-// On-disk records. These are public so the zero-copy IndexView can hand out
-// spans over the mapped arrays and so tooling/fuzzers can craft files.
+// On-disk header. Public so tooling and fuzzers can craft files.
 
 struct IndexSectionDesc {
   u64 offset = 0;    ///< absolute file offset of the section payload
@@ -62,22 +64,6 @@ struct IndexHeader {
   u64 header_checksum = 0;  ///< xxh64 over the preceding 152 bytes
 };
 static_assert(sizeof(IndexHeader) == 160);
-
-struct DiskBucket {
-  u64 key;
-  u64 offset;
-  u32 count;
-  u32 pad;
-};
-static_assert(sizeof(DiskBucket) == 24);
-
-struct DiskEntry {
-  u32 rid;
-  u32 pos;
-  u32 strand_rev;  ///< 0 or 1 (validated at load)
-  u32 pad;
-};
-static_assert(sizeof(DiskEntry) == 16);
 
 constexpr u32 kIndexMagic = 0x494d4d4du;  // "MMMI"
 constexpr u32 kIndexVersion = 2;
@@ -116,48 +102,6 @@ struct IndexLoadResult {
   bool ok() const { return status == IndexIoStatus::kOk; }
 };
 
-/// Zero-copy index: keeps the file mapped and reads the bucket/entry
-/// arrays in place (both sections are 16-byte aligned by the writer, so
-/// in-place access is well-defined). Only the tiny contig table is
-/// copied. Probing matches MinimizerIndex bit for bit.
-class IndexView {
- public:
-  IndexView() = default;
-
-  bool is_open() const { return file_.is_open(); }
-  const SketchParams& params() const { return params_; }
-  const std::vector<ContigMeta>& contigs() const { return contigs_; }
-  std::size_t num_keys() const { return static_cast<std::size_t>(n_keys_); }
-  std::size_t num_entries() const { return static_cast<std::size_t>(n_entries_); }
-  std::size_t num_buckets() const { return static_cast<std::size_t>(n_buckets_); }
-
-  /// All hits for a key, straight out of the mapping (empty if absent).
-  std::span<const DiskEntry> lookup(u64 key) const;
-
-  /// Bulk-convert to an owning MinimizerIndex (e.g. to hand to a Mapper).
-  MinimizerIndex materialize() const;
-
- private:
-  friend struct IndexViewAccess;
-
-  MappedFile file_;
-  SketchParams params_{};
-  std::vector<ContigMeta> contigs_;
-  const DiskBucket* buckets_ = nullptr;
-  const DiskEntry* entries_ = nullptr;
-  u64 n_buckets_ = 0;
-  u64 n_entries_ = 0;
-  u64 n_keys_ = 0;
-};
-
-struct IndexViewResult {
-  IndexIoStatus status = IndexIoStatus::kOk;
-  std::string message;
-  IndexView view;
-  u64 checksum_bytes_verified = 0;
-  bool ok() const { return status == IndexIoStatus::kOk; }
-};
-
 // ---------------------------------------------------------------------------
 // API
 
@@ -176,17 +120,16 @@ u64 save_index(const std::string& path, const MinimizerIndex& index);
 IndexLoadResult try_load_index_stream(const std::string& path,
                                       const IndexLoadOptions& options = {});
 
-/// Memory-mapped bulk loader (manymap's optimization).
+/// Memory-mapped zero-copy loader (manymap's optimization): the returned
+/// index keeps the file mapped and reads its bucket and entry arrays in
+/// place.
 IndexLoadResult try_load_index_mmap(const std::string& path,
-                                    const IndexLoadOptions& options = {});
-
-/// Zero-copy loader: validates, then serves straight from the mapping.
-IndexViewResult try_load_index_view(const std::string& path,
                                     const IndexLoadOptions& options = {});
 
 /// Legacy wrappers: behavior-identical to the structured loaders on good
 /// files; on garbage they abort with the structured (actionable) message
-/// instead of returning. CLI paths use these; the service uses try_*.
+/// instead of returning. The Table 2 loader comparison (core/breakdown.cpp)
+/// uses these; the CLI and the service use try_*.
 MinimizerIndex load_index_stream(const std::string& path);
 MinimizerIndex load_index_mmap(const std::string& path);
 

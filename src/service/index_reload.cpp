@@ -15,21 +15,4 @@ std::chrono::milliseconds reload_backoff(u32 attempt, std::chrono::milliseconds 
   return std::min(std::chrono::milliseconds(static_cast<i64>(scaled)), cap);
 }
 
-std::string index_matches_reference(const Reference& ref, const MinimizerIndex& index) {
-  const auto& contigs = index.contigs();
-  if (contigs.size() != ref.num_contigs())
-    return "index describes " + std::to_string(contigs.size()) + " contigs, reference has " +
-           std::to_string(ref.num_contigs());
-  for (std::size_t i = 0; i < contigs.size(); ++i) {
-    const auto& want = ref.contig(i);
-    if (contigs[i].name != want.name)
-      return "contig " + std::to_string(i) + " is '" + contigs[i].name +
-             "' in the index but '" + want.name + "' in the reference";
-    if (contigs[i].length != want.size())
-      return "contig '" + want.name + "' is " + std::to_string(contigs[i].length) +
-             " bp in the index but " + std::to_string(want.size()) + " bp in the reference";
-  }
-  return "";
-}
-
 }  // namespace manymap

@@ -1,19 +1,13 @@
-// Helpers for the service's async index (re)load path: the capped
-// exponential backoff schedule between failed load attempts, and the
-// validation that a freshly loaded index actually describes the
-// reference the service is serving (a reload must never swap in an index
-// built from a different genome — lookups would return positions into
-// the wrong contigs).
-//
-// Both are pure functions so tests can pin the schedule and the
-// mismatch messages without spinning up a service.
+// Backoff schedule for the service's async index (re)load path: the
+// capped exponential delay between failed load attempts. A pure function
+// so tests can pin the schedule without spinning up a service. (The
+// check that a loaded index describes the serving reference is
+// index_matches_reference in index/hash_index.hpp, shared with the CLI.)
 #pragma once
 
 #include <chrono>
-#include <string>
 
-#include "index/hash_index.hpp"
-#include "sequence/sequence.hpp"
+#include "base/common.hpp"
 
 namespace manymap {
 
@@ -22,9 +16,5 @@ namespace manymap {
 /// `initial <= 0` disables waiting entirely (test schedules).
 std::chrono::milliseconds reload_backoff(u32 attempt, std::chrono::milliseconds initial,
                                          std::chrono::milliseconds cap);
-
-/// "" when `index` describes `ref` (same contig count, names, lengths,
-/// in order); otherwise an actionable description of the first mismatch.
-std::string index_matches_reference(const Reference& ref, const MinimizerIndex& index);
 
 }  // namespace manymap

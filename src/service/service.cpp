@@ -134,9 +134,7 @@ void AlignmentService::reload_loop(std::string path) {
     if (stopped_.load(std::memory_order_relaxed)) break;
     std::string failure;
     try {
-      IndexLoadOptions opt;
-      opt.verify_checksums = icfg.verify_checksums;
-      IndexLoadResult res = try_load_index_mmap(path, opt);
+      IndexLoadResult res = try_load_index_mmap(path);
       metrics_.on_index_checksum_bytes(res.checksum_bytes_verified);
       if (!res.ok()) {
         failure = res.message;

@@ -148,9 +148,8 @@ struct ServiceConfig {
   /// serving index — the old one keeps serving and the attempt retries
   /// on a capped exponential backoff.
   struct IndexConfig {
-    std::string load_path;         ///< MMMI file to load asynchronously at startup
-    bool verify_checksums = true;  ///< per-section checksum verification on load
-    u32 max_attempts = 5;          ///< load attempts per (re)load request
+    std::string load_path;  ///< MMMI file to load asynchronously at startup (checksums verified)
+    u32 max_attempts = 5;   ///< load attempts per (re)load request
     std::chrono::milliseconds backoff_initial{50};  ///< delay after the first failure
     std::chrono::milliseconds backoff_cap{2000};    ///< backoff ceiling
   };

@@ -139,7 +139,7 @@ void report(SeedContext& ctx, const std::string& what) {
   if (*ctx.on_divergence) (*ctx.on_divergence)(ctx.stats->divergences.back());
 }
 
-/// One loader outcome, normalized across the three load paths.
+/// One loader outcome, normalized across the load paths.
 struct LoadOutcome {
   bool ok = false;
   IndexIoStatus status = IndexIoStatus::kOk;
@@ -147,40 +147,20 @@ struct LoadOutcome {
   std::string reserialized;  ///< set when ok
 };
 
+constexpr int kNumLoaders = 2;
+
 LoadOutcome load_via(int which, const std::string& path, const IndexLoadOptions& opt) {
+  IndexLoadResult r =
+      which == 0 ? try_load_index_stream(path, opt) : try_load_index_mmap(path, opt);
   LoadOutcome out;
-  switch (which) {
-    case 0: {
-      IndexLoadResult r = try_load_index_stream(path, opt);
-      out.ok = r.ok();
-      out.status = r.status;
-      out.message = std::move(r.message);
-      if (out.ok) out.reserialized = serialize_index(r.index);
-      break;
-    }
-    case 1: {
-      IndexLoadResult r = try_load_index_mmap(path, opt);
-      out.ok = r.ok();
-      out.status = r.status;
-      out.message = std::move(r.message);
-      if (out.ok) out.reserialized = serialize_index(r.index);
-      break;
-    }
-    default: {
-      IndexViewResult r = try_load_index_view(path, opt);
-      out.ok = r.ok();
-      out.status = r.status;
-      out.message = std::move(r.message);
-      if (out.ok) out.reserialized = serialize_index(r.view.materialize());
-      break;
-    }
-  }
+  out.ok = r.ok();
+  out.status = r.status;
+  out.message = std::move(r.message);
+  if (out.ok) out.reserialized = serialize_index(r.index);
   return out;
 }
 
-const char* loader_name(int which) {
-  return which == 0 ? "stream" : which == 1 ? "mmap" : "view";
-}
+const char* loader_name(int which) { return which == 0 ? "stream" : "mmap"; }
 
 constexpr const char* kIndexFaultSites[] = {"index.io.open", "index.io.short_read",
                                             "index.corrupt"};
@@ -209,10 +189,10 @@ void run_one_seed(SeedContext& ctx, const CorruptIdxOptions& opt, const std::str
   }
 
   // Contract 1: every load path either succeeds bit-identically or fails
-  // cleanly, and all three agree on accept/reject.
+  // cleanly, and both agree on accept/reject.
   IndexLoadOptions lopt;
-  LoadOutcome outs[3];
-  for (int which = 0; which < 3; ++which) {
+  LoadOutcome outs[kNumLoaders];
+  for (int which = 0; which < kNumLoaders; ++which) {
     outs[which] = load_via(which, path, lopt);
     ctx.stats->cases_run++;
     const LoadOutcome& o = outs[which];
@@ -230,10 +210,9 @@ void run_one_seed(SeedContext& ctx, const CorruptIdxOptions& opt, const std::str
       report(ctx, std::string(loader_name(which)) +
                       " accepted a corrupted file without being bit-identical to it");
   }
-  if (outs[0].ok != outs[1].ok || outs[1].ok != outs[2].ok)
+  if (outs[0].ok != outs[1].ok)
     report(ctx, "loaders disagree: stream=" + std::string(outs[0].ok ? "ok" : "reject") +
-                    " mmap=" + (outs[1].ok ? "ok" : "reject") +
-                    " view=" + (outs[2].ok ? "ok" : "reject"));
+                    " mmap=" + (outs[1].ok ? "ok" : "reject"));
   if (!corrupted && !outs[0].ok)
     report(ctx, "control file rejected: " + outs[0].message);
 
@@ -243,7 +222,7 @@ void run_one_seed(SeedContext& ctx, const CorruptIdxOptions& opt, const std::str
   if (opt.nochecksum_every > 0 && ctx.seed % opt.nochecksum_every == 0) {
     IndexLoadOptions relaxed;
     relaxed.verify_checksums = false;
-    for (int which = 0; which < 3; ++which) {
+    for (int which = 0; which < kNumLoaders; ++which) {
       const LoadOutcome o = load_via(which, path, relaxed);
       ctx.stats->cases_run++;
       if (!o.ok && o.message.empty())
@@ -270,11 +249,11 @@ void run_one_seed(SeedContext& ctx, const CorruptIdxOptions& opt, const std::str
       fault::FaultPlan plan(ctx.seed);
       plan.arm({site, fault::FaultKind::kError, 1, 1, {}});
       fault::ScopedPlan guard(&plan);
-      for (int which = 0; which < 3; ++which) {
+      for (int which = 0; which < kNumLoaders; ++which) {
         const LoadOutcome o = load_via(which, path, lopt);
         ctx.stats->cases_run++;
-        // One fire per plan: exactly one of the three loads eats the
-        // fault; the others must succeed bit-identically.
+        // One fire per plan: exactly one of the loads eats the fault;
+        // the other must succeed bit-identically.
         if (!o.ok && o.message.empty())
           report(ctx, std::string(loader_name(which)) + " armed(" + site +
                           ") failed without a message");

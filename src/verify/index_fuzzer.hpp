@@ -2,14 +2,14 @@
 // family). Each seed deterministically builds a small index, serializes
 // it, applies one seed-derived corruption (truncation, bit flips, count
 // inflation, stale version, bad magic, checksum-field damage — or none,
-// the control), and replays the file through all three load paths
-// (stream / mmap / zero-copy view).
+// the control), and replays the file through both load paths (stream /
+// zero-copy mmap).
 //
 // The contract under test is the durability contract from DESIGN.md:
 // every load either succeeds BIT-IDENTICALLY (re-serializing the loaded
 // index reproduces the original byte image exactly) or fails cleanly
 // (structured status + actionable message; no crash, no abort, no
-// allocation proportional to hostile header counts). The three loaders
+// allocation proportional to hostile header counts). The two loaders
 // must agree on accept/reject. Periodic replays additionally run with
 // checksum verification disabled (structural validation must still hold)
 // and with the index.io.* / index.corrupt fault sites armed against the

@@ -2,6 +2,8 @@
 // in both output formats, exercising the tool exactly as a user would.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -23,6 +25,13 @@ std::string tmp(const char* name) { return ::testing::TempDir() + "/" + name; }
 
 int run_cli(const std::string& args) {
   const std::string cmd = std::string(MANYMAP_CLI_PATH) + " " + args + " 2>/dev/null";
+  return std::system(cmd.c_str());
+}
+
+/// Run the CLI with stderr captured in `err_path`; returns the raw wait
+/// status so callers can tell a clean exit from a signal.
+int run_cli_stderr(const std::string& args, const std::string& err_path) {
+  const std::string cmd = std::string(MANYMAP_CLI_PATH) + " " + args + " 2>" + err_path;
   return std::system(cmd.c_str());
 }
 
@@ -73,6 +82,55 @@ TEST(Cli, SimulateIndexMapRoundTrip) {
   EXPECT_NE(sam_text.find("AS:i:"), std::string::npos);
 
   for (const auto& p : {ref, reads, index, paf, sam}) std::remove(p.c_str());
+}
+
+// A saved index is untrusted input: `map --index` reports a damaged file
+// or one built from another genome with its typed message and exit 1,
+// never an abort.
+TEST(Cli, MapRejectsTruncatedIndex) {
+  const std::string ref = tmp("cli_ref4.fa");
+  const std::string reads = tmp("cli_reads4.fq");
+  const std::string index = tmp("cli_ref4.mmi");
+  const std::string err = tmp("cli_err4.txt");
+  ASSERT_EQ(run_cli("simulate " + ref + " " + reads + " --length 50000 --reads 3"), 0);
+  ASSERT_EQ(run_cli("index " + ref + " " + index), 0);
+  const std::string image = slurp(index);
+  ASSERT_GT(image.size(), 1000u);
+  {
+    std::ofstream out(index, std::ios::binary | std::ios::trunc);
+    out.write(image.data(), 1000);
+  }
+  const int status = run_cli_stderr("map " + ref + " " + reads + " --index " + index +
+                                        " > /dev/null",
+                                    err);
+  ASSERT_TRUE(WIFEXITED(status)) << "killed by a signal";
+  EXPECT_EQ(WEXITSTATUS(status), 1);
+  const std::string msg = slurp(err);
+  EXPECT_NE(msg.find("file is 1000 bytes but the header promises"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("[truncated]"), std::string::npos) << msg;
+  EXPECT_EQ(msg.find("fatal"), std::string::npos) << msg;
+  for (const auto& p : {ref, reads, index, err}) std::remove(p.c_str());
+}
+
+TEST(Cli, MapRejectsIndexOfAnotherGenome) {
+  const std::string ref = tmp("cli_ref5.fa");
+  const std::string reads = tmp("cli_reads5.fq");
+  const std::string other = tmp("cli_other5.fa");
+  const std::string other_reads = tmp("cli_other_reads5.fq");
+  const std::string index = tmp("cli_other5.mmi");
+  const std::string err = tmp("cli_err5.txt");
+  ASSERT_EQ(run_cli("simulate " + ref + " " + reads + " --length 50000 --reads 3"), 0);
+  ASSERT_EQ(run_cli("simulate " + other + " " + other_reads + " --length 80000 --reads 1"), 0);
+  ASSERT_EQ(run_cli("index " + other + " " + index), 0);
+  const int status = run_cli_stderr("map " + ref + " " + reads + " --index " + index +
+                                        " > /dev/null",
+                                    err);
+  ASSERT_TRUE(WIFEXITED(status)) << "killed by a signal";
+  EXPECT_EQ(WEXITSTATUS(status), 1);
+  const std::string msg = slurp(err);
+  EXPECT_NE(msg.find("does not match reference"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("bp in the index but"), std::string::npos) << msg;
+  for (const auto& p : {ref, reads, other, other_reads, index, err}) std::remove(p.c_str());
 }
 
 TEST(Cli, UsageOnBadInvocation) {

@@ -1,9 +1,10 @@
 // Index persistence durability contract (DESIGN.md): MMMI v2 round-trip
-// byte identity across all three load paths, the committed corrupt-index
-// corpus, hostile-header rejection, crash-safe atomic publish, the
-// service's async (re)load — warming admission, corrupt-reload refusal,
-// reload during live traffic — and the pure helpers (backoff schedule,
-// reference match, XXH64 vectors, MappedFile errno reporting).
+// byte identity across both load paths, the zero-copy mmap load, the
+// committed corrupt-index corpus, hostile-header rejection, crash-safe
+// atomic publish, the service's async (re)load — warming admission,
+// corrupt-reload refusal, reload during live traffic, replacement of a
+// mapped file — and the pure helpers (backoff schedule, reference match,
+// XXH64 vectors, MappedFile errno reporting).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "base/random.hpp"
+#include "core/paf.hpp"
 #include "fault/fault.hpp"
 #include "index/index_io.hpp"
 #include "io/checksum.hpp"
@@ -72,16 +74,10 @@ struct LoadOutcome {
   std::string reserialized;  ///< only when ok
 };
 
+constexpr int kNumLoaders = 2;  // 0 = stream, 1 = mmap
+
 LoadOutcome load_via(int which, const std::string& path, const IndexLoadOptions& opt = {}) {
   LoadOutcome out;
-  if (which == 2) {
-    IndexViewResult r = try_load_index_view(path, opt);
-    out.ok = r.ok();
-    out.status = r.status;
-    out.message = r.message;
-    if (r.ok()) out.reserialized = serialize_index(r.view.materialize());
-    return out;
-  }
   IndexLoadResult r =
       which == 0 ? try_load_index_stream(path, opt) : try_load_index_mmap(path, opt);
   out.ok = r.ok();
@@ -89,6 +85,21 @@ LoadOutcome load_via(int which, const std::string& path, const IndexLoadOptions&
   out.message = r.message;
   if (r.ok()) out.reserialized = serialize_index(r.index);
   return out;
+}
+
+/// True when [p, p + bytes) lies inside one mapping of `path` in this
+/// process's address map (/proc/self/maps).
+bool inside_mapping_of(const std::string& path, const void* p, std::size_t bytes) {
+  std::ifstream maps("/proc/self/maps");
+  const auto lo = reinterpret_cast<std::uintptr_t>(p);
+  std::string line;
+  while (std::getline(maps, line)) {
+    if (line.find(path) == std::string::npos) continue;
+    std::uintptr_t start = 0, end = 0;
+    if (std::sscanf(line.c_str(), "%lx-%lx", &start, &end) != 2) continue;
+    if (lo >= start && lo + bytes <= end) return true;
+  }
+  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -156,9 +167,9 @@ TEST(MappedFileErrors, SuccessClearsPriorError) {
 }
 
 // ---------------------------------------------------------------------------
-// Round-trip byte identity across all three load paths.
+// Round-trip byte identity across both load paths.
 
-TEST(IndexRoundTrip, AllThreePathsAreByteIdentical) {
+TEST(IndexRoundTrip, BothLoadPathsAreByteIdentical) {
   Rng rng(99);
   for (int trial = 0; trial < 6; ++trial) {
     const u32 k = 8 + static_cast<u32>(rng.uniform(13));
@@ -168,7 +179,7 @@ TEST(IndexRoundTrip, AllThreePathsAreByteIdentical) {
     const std::string path = tmp_path("roundtrip") + ".mmmi";
     EXPECT_EQ(save_index(path, idx), image.size());
     EXPECT_EQ(read_bytes(path), image) << "save_index wrote a different image";
-    for (int which = 0; which < 3; ++which) {
+    for (int which = 0; which < kNumLoaders; ++which) {
       const LoadOutcome o = load_via(which, path);
       ASSERT_TRUE(o.ok) << "path " << which << ": " << o.message;
       EXPECT_EQ(o.reserialized, image) << "load path " << which << " not bit-identical";
@@ -177,27 +188,55 @@ TEST(IndexRoundTrip, AllThreePathsAreByteIdentical) {
   }
 }
 
-TEST(IndexRoundTrip, ViewLookupMatchesOwningIndex) {
+TEST(IndexRoundTrip, MappedLookupMatchesBuiltIndex) {
   const MinimizerIndex idx = small_index(7);
-  const std::string path = tmp_path("viewlookup") + ".mmmi";
+  const std::string path = tmp_path("mappedlookup") + ".mmmi";
   save_index(path, idx);
-  IndexViewResult r = try_load_index_view(path);
+  IndexLoadResult r = try_load_index_mmap(path);
   ASSERT_TRUE(r.ok()) << r.message;
-  EXPECT_EQ(r.view.num_keys(), idx.num_keys());
-  EXPECT_EQ(r.view.num_entries(), idx.num_entries());
-  // Probe every key the owning index knows plus some absent ones.
+  EXPECT_EQ(r.index.num_keys(), idx.num_keys());
+  EXPECT_EQ(r.index.num_entries(), idx.num_entries());
+  EXPECT_EQ(r.index.memory_bytes(), idx.memory_bytes());
+  // Probe every key the built index knows plus some absent ones.
   for (const auto& b : idx.buckets()) {
     if (b.key == ~0ULL) continue;
     const auto mem = idx.lookup(b.key);
-    const auto disk = r.view.lookup(b.key);
+    const auto disk = r.index.lookup(b.key);
     ASSERT_EQ(mem.size(), disk.size());
-    for (std::size_t i = 0; i < mem.size(); ++i) {
-      EXPECT_EQ(mem[i].rid, disk[i].rid);
-      EXPECT_EQ(mem[i].pos, disk[i].pos);
-      EXPECT_EQ(mem[i].strand_rev, disk[i].strand_rev != 0);
-    }
+    for (std::size_t i = 0; i < mem.size(); ++i) EXPECT_EQ(mem[i], disk[i]);
   }
-  EXPECT_TRUE(r.view.lookup(0xdeadbeefdeadbeefull).empty());
+  EXPECT_TRUE(r.index.lookup(0xdeadbeefdeadbeefull).empty());
+  std::remove(path.c_str());
+}
+
+TEST(IndexRoundTrip, MmapLoadCopiesNoTableBytes) {
+  // The mmap loader must serve the bucket table and the entry array in
+  // place: both spans lie inside the process's mapping of the file, and
+  // every copy of the index shares them (the mapping stays alive until
+  // the last copy goes).
+  const MinimizerIndex built = small_index(17, 12'000);
+  const std::string path = tmp_path("zerocopy") + ".mmmi";
+  save_index(path, built);
+  MinimizerIndex copy;
+  {
+    IndexLoadResult r = try_load_index_mmap(path);
+    ASSERT_TRUE(r.ok()) << r.message;
+    const auto buckets = r.index.buckets();
+    const auto entries = r.index.entries();
+    ASSERT_FALSE(buckets.empty());
+    ASSERT_FALSE(entries.empty());
+    EXPECT_TRUE(inside_mapping_of(path, buckets.data(), buckets.size_bytes()));
+    EXPECT_TRUE(inside_mapping_of(path, entries.data(), entries.size_bytes()));
+    copy = r.index;
+    EXPECT_EQ(copy.entries().data(), entries.data());
+  }
+  EXPECT_TRUE(inside_mapping_of(path, copy.entries().data(), copy.entries().size_bytes()));
+  EXPECT_EQ(serialize_index(copy), serialize_index(built));
+
+  // The stream loader, by contrast, owns its arrays.
+  IndexLoadResult streamed = try_load_index_stream(path);
+  ASSERT_TRUE(streamed.ok()) << streamed.message;
+  EXPECT_FALSE(inside_mapping_of(path, streamed.index.entries().data(), 1));
   std::remove(path.c_str());
 }
 
@@ -217,7 +256,7 @@ TEST(IndexRoundTrip, SaveIsAtomicAndLeavesNoTmp) {
 
 // ---------------------------------------------------------------------------
 // Committed corrupt-index corpus: every file must fail cleanly, with the
-// same status on all three load paths.
+// same status on both load paths.
 
 struct CorpusCase {
   const char* file;
@@ -234,7 +273,7 @@ TEST(IndexCorpus, CommittedCorruptFilesFailCleanly) {
   for (const auto& c : cases) {
     const std::string path = std::string(MANYMAP_REGRESSION_DIR) + "/" + c.file;
     ASSERT_TRUE(std::filesystem::exists(path)) << path;
-    for (int which = 0; which < 3; ++which) {
+    for (int which = 0; which < kNumLoaders; ++which) {
       const LoadOutcome o = load_via(which, path);
       EXPECT_FALSE(o.ok) << c.file << " accepted by load path " << which;
       EXPECT_EQ(o.status, c.status) << c.file << " path " << which << ": " << o.message;
@@ -248,20 +287,17 @@ TEST(IndexCorpus, CommittedCorruptFilesFailCleanly) {
 TEST(IndexCorpus, FlippedEntryLoadsWhenChecksumsAreOff) {
   // The flipped byte lives in the entries payload and keeps the file
   // structurally valid: with verification off it must load (this is the
-  // documented trade of verify_checksums=false), and identically via all
-  // three paths.
+  // documented trade of verify_checksums=false), and identically via both
+  // paths.
   const std::string path =
       std::string(MANYMAP_REGRESSION_DIR) + "/idx_flipped_entry.mmmi";
   IndexLoadOptions relaxed;
   relaxed.verify_checksums = false;
   const LoadOutcome stream = load_via(0, path, relaxed);
   const LoadOutcome mmap = load_via(1, path, relaxed);
-  const LoadOutcome view = load_via(2, path, relaxed);
   ASSERT_TRUE(stream.ok) << stream.message;
   ASSERT_TRUE(mmap.ok) << mmap.message;
-  ASSERT_TRUE(view.ok) << view.message;
   EXPECT_EQ(stream.reserialized, mmap.reserialized);
-  EXPECT_EQ(stream.reserialized, view.reserialized);
 }
 
 // ---------------------------------------------------------------------------
@@ -285,7 +321,7 @@ TEST(IndexHostile, TruncationMatrixNeverCrashesOrLoads) {
   for (const std::size_t cut : cuts) {
     ASSERT_LT(cut, image.size());
     write_bytes(path, image.substr(0, cut));
-    for (int which = 0; which < 3; ++which) {
+    for (int which = 0; which < kNumLoaders; ++which) {
       const LoadOutcome o = load_via(which, path);
       EXPECT_FALSE(o.ok) << "cut=" << cut << " path " << which;
       EXPECT_FALSE(o.message.empty());
@@ -327,7 +363,7 @@ TEST(IndexHostile, RestampedLiesAreCaughtStructurally) {
     for (const bool verify : {true, false}) {
       IndexLoadOptions opt;
       opt.verify_checksums = verify;
-      for (int which = 0; which < 3; ++which) {
+      for (int which = 0; which < kNumLoaders; ++which) {
         const LoadOutcome o = load_via(which, path, opt);
         EXPECT_FALSE(o.ok) << lie.what << " accepted (path " << which << ", verify "
                            << verify << ")";
@@ -353,9 +389,7 @@ TEST(IndexHostile, LoadersAgreeOnRandomCorruption) {
     write_bytes(path, image);
     const LoadOutcome a = load_via(0, path);
     const LoadOutcome b = load_via(1, path);
-    const LoadOutcome c = load_via(2, path);
     EXPECT_EQ(a.ok, b.ok) << "flip at " << at;
-    EXPECT_EQ(a.ok, c.ok) << "flip at " << at;
     EXPECT_EQ(a.status, b.status) << "flip at " << at;
     if (a.ok) {
       // A flip that still loads must be a no-op on the payload: the
@@ -580,6 +614,63 @@ TEST(ServiceIndexLoad, MismatchedReferenceIsRefused) {
     std::this_thread::sleep_for(5ms);
   EXPECT_EQ(svc.metrics().snapshot().index_reloads, 0u);
   EXPECT_EQ(&svc.mapper(), before);
+  svc.shutdown();
+  std::remove(path.c_str());
+}
+
+TEST(ServiceIndexLoad, MappedIndexSurvivesReplacementOfItsFile) {
+  // The serving index is the mapped file itself. save_index replaces the
+  // file by rename, so the old inode stays mapped: the serving mapper's
+  // table and answers must not change, and a reload then picks up the new
+  // file. (Rewriting the file in place would instead SIGBUS the readers.)
+  const std::string path = tmp_path("replace") + ".mmmi";
+  ServiceConfig cfg = quick_cfg();
+  const MinimizerIndex first = MinimizerIndex::build(sw().ref, cfg.map.sketch);
+  SketchParams denser = cfg.map.sketch;
+  denser.w = 5;  // same k, so the mapper's query sketches still look up
+  const MinimizerIndex second = MinimizerIndex::build(sw().ref, denser);
+  ASSERT_TRUE(serialize_index(first) != serialize_index(second));
+  save_index(path, first);
+
+  cfg.index.load_path = path;
+  AlignmentService svc(sw().ref, cfg);
+  ASSERT_TRUE(svc.wait_until_ready(30s));
+  const Mapper& serving = svc.mapper();
+  const std::string image = serialize_index(serving.index());
+  ASSERT_TRUE(image == serialize_index(first));
+  const auto paf_of = [&](const Mapper& m) {
+    std::string out;
+    for (const auto& r : sw().reads) out += to_paf_block(m.map(r));
+    return out;
+  };
+  const auto service_paf = [&] {
+    std::string out;
+    u64 id = 0;
+    for (const auto& r : sw().reads) {
+      MapRequest req;
+      req.id = ++id;
+      req.read = r;
+      out += svc.map_sync(std::move(req)).paf;
+    }
+    return out;
+  };
+  const std::string paf_before = paf_of(serving);
+  const std::string served_before = service_paf();
+  ASSERT_FALSE(paf_before.empty());
+
+  save_index(path, second);
+  EXPECT_TRUE(serialize_index(serving.index()) == image) << "mapped table changed under rename";
+  EXPECT_EQ(paf_of(serving), paf_before);
+  EXPECT_EQ(service_paf(), served_before);
+
+  ASSERT_TRUE(svc.begin_index_reload(path));
+  for (int i = 0; i < 2'000 && svc.metrics().snapshot().index_reloads < 2; ++i)
+    std::this_thread::sleep_for(5ms);
+  EXPECT_EQ(svc.metrics().snapshot().index_reloads, 2u);
+  EXPECT_TRUE(serialize_index(svc.mapper().index()) == serialize_index(second))
+      << "reload did not pick up the replacement file";
+  // The retired mapper still answers from the old inode.
+  EXPECT_EQ(paf_of(serving), paf_before);
   svc.shutdown();
   std::remove(path.c_str());
 }

@@ -148,6 +148,25 @@ int cmd_map(const ArgList& args) {
     return usage();
   }
 
+  // A saved index is untrusted input: a damaged file or one built from
+  // another genome is reported with its typed message, never an abort.
+  MinimizerIndex index;
+  if (args.has("index")) {
+    const std::string path = args.get("index", "");
+    IndexLoadResult res = try_load_index_mmap(path);
+    if (!res.ok()) {
+      std::fprintf(stderr, "manymap: %s [%s]\n", res.message.c_str(), to_string(res.status));
+      return 1;
+    }
+    const std::string mismatch = index_matches_reference(ref, res.index);
+    if (!mismatch.empty()) {
+      std::fprintf(stderr, "manymap: index '%s' does not match reference '%s': %s\n",
+                   path.c_str(), args.positional[0].c_str(), mismatch.c_str());
+      return 1;
+    }
+    index = std::move(res.index);
+  }
+
   std::vector<Sequence> reads;
   if (use_mmap) {
     MappedFile f;
@@ -157,9 +176,8 @@ int cmd_map(const ArgList& args) {
     reads = read_sequence_file(args.positional[1]);
   }
 
-  Aligner aligner = args.has("index")
-                        ? Aligner(ref, load_index_mmap(args.get("index", "")), opt)
-                        : Aligner(ref, opt);
+  Aligner aligner =
+      args.has("index") ? Aligner(ref, std::move(index), opt) : Aligner(ref, opt);
 
   const bool sam = args.has("sam");
   const bool cigar_tag = args.has("cigar");

@@ -48,9 +48,9 @@
 //                          accepted immediately and answered INDEX_WARMING
 //                          until PATH validates; the replay resubmits
 //                          warming responses until served
-//   --index-verify PATH    standalone: load PATH through all three load
-//                          paths (stream/mmap/view), require bit-identical
-//                          agreement, print a summary, exit 0/1 (no serving)
+//   --index-verify PATH    standalone: load PATH through both load paths
+//                          (stream/mmap), require bit-identical agreement,
+//                          print a summary, exit 0/1 (no serving)
 //
 // All numeric options are validated: counts must be positive integers,
 // --deadline-ms/--rate non-negative; violations answer with usage().
@@ -192,7 +192,6 @@ int main(int argc, char** argv) {
     if (path.empty()) return usage();
     IndexLoadResult st = try_load_index_stream(path);
     IndexLoadResult mm = try_load_index_mmap(path);
-    IndexViewResult vw = try_load_index_view(path);
     bool ok = true;
     const auto complain = [&](const char* loader, const std::string& msg) {
       std::fprintf(stderr, "[index-verify] %s: %s\n", loader, msg.c_str());
@@ -200,18 +199,12 @@ int main(int argc, char** argv) {
     };
     if (!st.ok()) complain("stream", st.message);
     if (!mm.ok()) complain("mmap", mm.message);
-    if (!vw.ok()) complain("view", vw.message);
-    if (ok) {
-      const std::string a = serialize_index(st.index);
-      const std::string b = serialize_index(mm.index);
-      const std::string c = serialize_index(vw.view.materialize());
-      if (a != b) complain("mmap", "loaded state differs from the stream loader's");
-      if (a != c) complain("view", "materialized state differs from the stream loader's");
-    }
+    if (ok && serialize_index(st.index) != serialize_index(mm.index))
+      complain("mmap", "mapped state differs from the stream loader's");
     if (ok)
       std::printf(
           "[index-verify] OK: %s — k=%u w=%u, %zu contigs, %zu keys, %zu entries, "
-          "%llu checksummed bytes, all three load paths bit-identical\n",
+          "%llu checksummed bytes, both load paths bit-identical\n",
           path.c_str(), st.index.params().k, st.index.params().w, st.index.contigs().size(),
           st.index.num_keys(), st.index.num_entries(),
           static_cast<unsigned long long>(mm.checksum_bytes_verified));

@@ -73,8 +73,8 @@ void usage() {
                "--family corruptidx fuzzes the MMMI index persistence layer:\n"
                "each seed serializes a seed-derived index, applies one corruption\n"
                "(truncation, bit flips, hostile counts, stale version, damaged\n"
-               "checksums — or none) and requires every load path (stream, mmap,\n"
-               "zero-copy view) to either round-trip bit-identically or fail with\n"
+               "checksums — or none) and requires both load paths (stream and\n"
+               "zero-copy mmap) to either round-trip bit-identically or fail with\n"
                "a structured, actionable error — never crash or over-allocate.\n"
                "Periodic replays run with checksums disabled and with the\n"
                "index.io.*/index.corrupt fault sites armed.\n"
