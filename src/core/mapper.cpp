@@ -76,6 +76,9 @@ Mapper::Mapper(const Reference& ref, MapOptions opt)
 
 Mapper::Mapper(const Reference& ref, MinimizerIndex index, MapOptions opt)
     : ref_(ref), index_(std::move(index)), opt_(std::move(opt)) {
+  // Reads are sketched with opt_.sketch but anchors take k from the index;
+  // callers holding a loaded index vet it with index_matches_reference.
+  MM_REQUIRE(index_.params().k == opt_.sketch.k, "index k differs from the mapping k");
   max_occ_ = std::min(index_.occurrence_cutoff(opt_.occ_frac), opt_.max_occ_cap);
 }
 

@@ -17,6 +17,11 @@ u64 bucket_hash(u64 x) {
   return x;
 }
 
+/// Slot where the linear probe for `key` starts in a power-of-two table.
+std::size_t home_slot(u64 key, std::size_t table_size) {
+  return bucket_hash(key) & (table_size - 1);
+}
+
 std::size_t table_size_for(std::size_t keys) {
   std::size_t n = 16;
   while (n < keys * 2) n <<= 1;  // load factor <= 0.5
@@ -78,7 +83,7 @@ MinimizerIndex MinimizerIndex::build(const Reference& ref, const SketchParams& p
   while (i < raws.size()) {
     std::size_t j = i;
     while (j < raws.size() && raws[j].key == raws[i].key) ++j;
-    std::size_t slot = bucket_hash(raws[i].key) & mask;
+    std::size_t slot = home_slot(raws[i].key, buckets.size());
     while (buckets[slot].key != ~0ULL) slot = (slot + 1) & mask;
     buckets[slot] = Bucket{raws[i].key, i, static_cast<u32>(j - i)};
     i = j;
@@ -90,7 +95,7 @@ MinimizerIndex MinimizerIndex::build(const Reference& ref, const SketchParams& p
 std::span<const IndexEntry> MinimizerIndex::lookup(u64 key) const {
   if (buckets_.empty()) return {};
   const std::size_t mask = buckets_.size() - 1;
-  std::size_t slot = bucket_hash(key) & mask;
+  std::size_t slot = home_slot(key, buckets_.size());
   for (std::size_t probes = 0; probes <= buckets_.size(); ++probes) {
     const Bucket& b = buckets_[slot];
     if (b.key == key) return entries_.subspan(b.offset, b.count);
@@ -98,6 +103,10 @@ std::span<const IndexEntry> MinimizerIndex::lookup(u64 key) const {
     slot = (slot + 1) & mask;
   }
   return {};
+}
+
+void MinimizerIndex::prefetch(u64 key) const {
+  if (!buckets_.empty()) __builtin_prefetch(&buckets_[home_slot(key, buckets_.size())]);
 }
 
 u32 MinimizerIndex::occurrence_cutoff(double frac) const {
@@ -117,7 +126,12 @@ u64 MinimizerIndex::memory_bytes() const {
          contigs_.size() * sizeof(ContigMeta);
 }
 
-std::string index_matches_reference(const Reference& ref, const MinimizerIndex& index) {
+std::string index_matches_reference(const Reference& ref, const SketchParams& sketch,
+                                    const MinimizerIndex& index) {
+  if (index.params().k != sketch.k)
+    return "index was built with k=" + std::to_string(index.params().k) +
+           " but the mapping options use k=" + std::to_string(sketch.k) +
+           "; rebuild it with 'manymap index -k " + std::to_string(sketch.k) + "'";
   const auto& contigs = index.contigs();
   if (contigs.size() != ref.num_contigs())
     return "index describes " + std::to_string(contigs.size()) + " contigs, reference has " +

@@ -63,6 +63,11 @@ class MinimizerIndex {
   /// All hits for a key (empty span if absent).
   std::span<const IndexEntry> lookup(u64 key) const;
 
+  /// Start fetching the table slot where lookup(key) begins its probe.
+  /// Issued a few keys ahead of lookup() so the slot's cache miss
+  /// overlaps the work on earlier keys; has no observable effect.
+  void prefetch(u64 key) const;
+
   /// Number of hits for a key (0 if absent).
   std::size_t occurrences(u64 key) const { return lookup(key).size(); }
 
@@ -89,11 +94,16 @@ class MinimizerIndex {
   std::shared_ptr<const void> storage_;   // owns what the spans point into
 };
 
-/// "" when `index` describes `ref` (same contig count, names, lengths,
-/// in order); otherwise an actionable description of the first mismatch.
+/// "" when `index` can serve a mapper over `ref` that sketches reads with
+/// `sketch`: same k, and the same contig count, names and lengths, in
+/// order. Otherwise an actionable description of the first mismatch.
 /// An index built from another genome would return positions into the
-/// wrong contigs, so every caller that pairs a loaded index with a
-/// reference checks this first.
-std::string index_matches_reference(const Reference& ref, const MinimizerIndex& index);
+/// wrong contigs, and one built with another k would place every anchor
+/// at the wrong query offset, so every caller that pairs a loaded index
+/// with a reference checks this first. A different w is accepted: it only
+/// changes which reference k-mers were sampled, and every hit is still a
+/// true k-mer match.
+std::string index_matches_reference(const Reference& ref, const SketchParams& sketch,
+                                    const MinimizerIndex& index);
 
 }  // namespace manymap

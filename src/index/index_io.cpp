@@ -22,7 +22,6 @@ namespace manymap {
 namespace {
 
 constexpr u64 kSectionAlign = 16;
-constexpr u32 kMaxK = 28;  // SketchParams contract: 2k bits fit in u64
 constexpr std::size_t kHeaderHashedBytes = offsetof(IndexHeader, header_checksum);
 
 using Bucket = MinimizerIndex::Bucket;
@@ -92,10 +91,12 @@ std::optional<LoadError> validate_header(const IndexHeader& h, u64 actual_bytes,
     return err(IndexIoStatus::kMalformed, path,
                std::to_string(actual_bytes - h.file_bytes) + " trailing bytes past the " +
                    std::to_string(h.file_bytes) + " the header promises");
-  if (h.k < 1 || h.k > kMaxK || h.w < 1)
+  if (!SketchParams{h.k, h.w}.valid())
     return err(IndexIoStatus::kMalformed, path,
-               "implausible sketch params k=" + std::to_string(h.k) +
-                   " w=" + std::to_string(h.w));
+               "sketch params k=" + std::to_string(h.k) + " w=" + std::to_string(h.w) +
+                   " are outside the supported range (" + std::to_string(SketchParams::kMinK) +
+                   " <= k <= " + std::to_string(SketchParams::kMaxK) +
+                   ", 1 <= w <= " + std::to_string(SketchParams::kMaxW) + ")");
 
   // Count sanity before any size arithmetic: each bound also proves the
   // later offset/byte sums cannot overflow u64.
@@ -199,13 +200,6 @@ std::optional<LoadError> validate_parts(const IndexHeader& h,
                      " pos " + std::to_string(e.pos) + " outside the reference");
   }
   return std::nullopt;
-}
-
-SketchParams sketch_params(const IndexHeader& h) {
-  SketchParams params;
-  params.k = h.k;
-  params.w = h.w;
-  return params;
 }
 
 /// Parse the contig section payload; bounds were proven by
@@ -464,8 +458,8 @@ IndexLoadResult try_load_index_stream(const std::string& path, const IndexLoadOp
     return fail(err(IndexIoStatus::kChecksumMismatch, path, "injected corruption at index.corrupt"));
 
   if (auto e = validate_parts(h, contigs, buckets, entries, path)) return fail(*e);
-  res.index = MinimizerIndex(sketch_params(h), std::move(contigs), h.n_keys, buckets, entries,
-                             std::move(tables));
+  res.index = MinimizerIndex(SketchParams{h.k, h.w}, std::move(contigs), h.n_keys, buckets,
+                             entries, std::move(tables));
   return res;
 }
 
@@ -523,8 +517,8 @@ IndexLoadResult try_load_index_mmap(const std::string& path, const IndexLoadOpti
   const std::span entries(reinterpret_cast<const IndexEntry*>(base + h.entries.offset),
                           h.n_entries);
   if (auto e = validate_parts(h, contigs, buckets, entries, path)) return fail(*e);
-  res.index = MinimizerIndex(sketch_params(h), std::move(contigs), h.n_keys, buckets, entries,
-                             std::move(file));
+  res.index = MinimizerIndex(SketchParams{h.k, h.w}, std::move(contigs), h.n_keys, buckets,
+                             entries, std::move(file));
   return res;
 }
 

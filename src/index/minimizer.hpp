@@ -3,6 +3,19 @@
 // (invertible) hash over its canonical strand is selected. Canonical
 // hashing makes the minimizer set strand-symmetric, which is how the
 // mapper detects reverse-complement alignments.
+//
+// Selection rule (exact; the index bytes and every mapping depend on it):
+//   - a window ends at every position i >= k-1 + w-1 and holds the k-mers
+//     ending at i-w+1 .. i;
+//   - its minimizer is the smallest hash among its valid k-mers, the
+//     rightmost one on a hash tie;
+//   - a k-mer is invalid if it spans an N or is its own reverse
+//     complement (a palindrome has no canonical strand);
+//   - a window with no valid k-mer selects nothing, and a minimizer that
+//     several consecutive windows select is emitted once.
+// sketch() keeps the current window minimum and rescans the w slots only
+// when that minimum leaves the window, as minimap2's mm_sketch does:
+// amortized O(1) per base on non-degenerate sequence.
 #pragma once
 
 #include <vector>
@@ -21,15 +34,24 @@ struct Minimizer {
 };
 
 struct SketchParams {
-  u32 k = 15;  ///< k-mer size (<= 28 so 2k bits fit in u64 with headroom)
+  static constexpr u32 kMinK = 4;
+  static constexpr u32 kMaxK = 28;   ///< 2k bits fit in u64 with headroom
+  static constexpr u32 kMaxW = 256;  ///< sketch() keeps a fixed w-slot ring
+
+  u32 k = 15;  ///< k-mer size
   u32 w = 10;  ///< window size
+
+  /// The one k/w contract. sketch() requires it; the index loaders refuse
+  /// a file whose header breaks it, and `manymap index` refuses such
+  /// options, so no index that cannot be sketched against is ever used.
+  bool valid() const { return k >= kMinK && k <= kMaxK && w >= 1 && w <= kMaxW; }
 };
 
 /// Thomas Wang's 64-bit invertible integer hash (minimap2's hash64).
 u64 invertible_hash(u64 key, u64 mask);
 
-/// Extract the minimizers of `seq` (codes). Windows containing N are
-/// skipped. Returns minimizers ordered by position.
+/// Extract the minimizers of `seq` (codes) by the rule above. Returns
+/// minimizers ordered by position. Requires p.valid().
 std::vector<Minimizer> sketch(const std::vector<u8>& seq, u32 rid, const SketchParams& p);
 
 }  // namespace manymap

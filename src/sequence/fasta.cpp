@@ -1,7 +1,10 @@
 #include "sequence/fasta.hpp"
 
+#include <sys/stat.h>
+
+#include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <memory>
 
 namespace manymap {
 
@@ -83,11 +86,21 @@ std::vector<Sequence> parse_sequences(std::string_view text) {
 }
 
 std::vector<Sequence> read_sequence_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  MM_REQUIRE(in.good(), "cannot open sequence file");
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return parse_sequences(ss.str());
+  const std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(std::fopen(path.c_str(), "rb"),
+                                                          &std::fclose);
+  MM_REQUIRE(f != nullptr, "cannot open sequence file");
+  // One read into a string sized from the file, then drain anything past
+  // that size (a pipe reports 0 bytes, a file may still be growing).
+  std::string text;
+  struct stat st {};
+  if (::fstat(::fileno(f.get()), &st) == 0 && st.st_size > 0)
+    text.resize(static_cast<std::size_t>(st.st_size));
+  text.resize(std::fread(text.data(), 1, text.size(), f.get()));
+  char chunk[1 << 16];
+  for (std::size_t got; (got = std::fread(chunk, 1, sizeof chunk, f.get())) > 0;)
+    text.append(chunk, got);
+  MM_REQUIRE(!std::ferror(f.get()), "cannot read sequence file");
+  return parse_sequences(text);
 }
 
 std::string to_fasta(const std::vector<Sequence>& seqs, std::size_t width) {

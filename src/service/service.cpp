@@ -139,9 +139,10 @@ void AlignmentService::reload_loop(std::string path) {
       if (!res.ok()) {
         failure = res.message;
       } else {
-        // A structurally valid index can still describe the wrong genome;
-        // swapping it in would silently map reads to the wrong contigs.
-        const std::string mismatch = index_matches_reference(ref_, res.index);
+        // A structurally valid index can still describe the wrong genome
+        // or use another k; swapping it in would silently map reads to the
+        // wrong contigs or the wrong query offsets.
+        const std::string mismatch = index_matches_reference(ref_, cfg_.map.sketch, res.index);
         if (!mismatch.empty()) {
           failure = "index '" + path + "' does not match the serving reference: " + mismatch;
         } else {

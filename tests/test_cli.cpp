@@ -4,12 +4,17 @@
 
 #include <sys/wait.h>
 
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "core/paf.hpp"
+#include "index/index_io.hpp"
+#include "io/checksum.hpp"
 
 #ifndef MANYMAP_CLI_PATH
 #define MANYMAP_CLI_PATH "../tools/manymap"
@@ -131,6 +136,82 @@ TEST(Cli, MapRejectsIndexOfAnotherGenome) {
   EXPECT_NE(msg.find("does not match reference"), std::string::npos) << msg;
   EXPECT_NE(msg.find("bp in the index but"), std::string::npos) << msg;
   for (const auto& p : {ref, reads, other, other_reads, index, err}) std::remove(p.c_str());
+}
+
+// The sketch-params contract: an index whose k differs from the preset's,
+// or whose k/w no sketch can use, is refused with a typed message and a
+// non-zero exit (before the contract, these mapped to zero PAF lines,
+// segfaulted, or aborted).
+TEST(Cli, MapRejectsIndexBuiltWithOtherK) {
+  const std::string ref = tmp("cli_ref6.fa");
+  const std::string reads = tmp("cli_reads6.fq");
+  const std::string index = tmp("cli_ref6.mmi");
+  const std::string err = tmp("cli_err6.txt");
+  ASSERT_EQ(run_cli("simulate " + ref + " " + reads + " --length 50000 --reads 3"), 0);
+  ASSERT_EQ(run_cli("index " + ref + " " + index + " -k 19"), 0);
+  const int status = run_cli_stderr("map --preset map-ont " + ref + " " + reads + " --index " +
+                                        index + " > /dev/null",
+                                    err);
+  ASSERT_TRUE(WIFEXITED(status)) << "killed by a signal";
+  EXPECT_EQ(WEXITSTATUS(status), 1);
+  const std::string msg = slurp(err);
+  EXPECT_NE(msg.find("built with k=19 but the mapping options use k=15"), std::string::npos)
+      << msg;
+  for (const auto& p : {ref, reads, index, err}) std::remove(p.c_str());
+}
+
+TEST(Cli, MapRejectsIndexWithUnusableSketchParams) {
+  const std::string ref = tmp("cli_ref7.fa");
+  const std::string reads = tmp("cli_reads7.fq");
+  const std::string index = tmp("cli_ref7.mmi");
+  const std::string err = tmp("cli_err7.txt");
+  ASSERT_EQ(run_cli("simulate " + ref + " " + reads + " --length 50000 --reads 3"), 0);
+  ASSERT_EQ(run_cli("index " + ref + " " + index), 0);
+  const std::string pristine = slurp(index);
+  ASSERT_GT(pristine.size(), sizeof(IndexHeader));
+  for (const auto& [k, w] : {std::pair<u32, u32>{3, 10}, std::pair<u32, u32>{15, 300}}) {
+    // Edit the header and restamp its checksum: a well-formed file whose
+    // only fault is the sketch params.
+    std::string image = pristine;
+    IndexHeader h;
+    std::memcpy(&h, image.data(), sizeof h);
+    h.k = k;
+    h.w = w;
+    h.header_checksum = xxh64(&h, offsetof(IndexHeader, header_checksum));
+    std::memcpy(image.data(), &h, sizeof h);
+    {
+      std::ofstream out(index, std::ios::binary | std::ios::trunc);
+      out.write(image.data(), static_cast<std::streamsize>(image.size()));
+    }
+    const int status = run_cli_stderr("map " + ref + " " + reads + " --index " + index +
+                                          " > /dev/null",
+                                      err);
+    ASSERT_TRUE(WIFEXITED(status)) << "k=" << k << " w=" << w << " killed by a signal";
+    EXPECT_EQ(WEXITSTATUS(status), 1) << "k=" << k << " w=" << w;
+    const std::string msg = slurp(err);
+    EXPECT_NE(msg.find("outside the supported range"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("[malformed]"), std::string::npos) << msg;
+  }
+  for (const auto& p : {ref, reads, index, err}) std::remove(p.c_str());
+}
+
+TEST(Cli, IndexRejectsUnusableSketchParams) {
+  const std::string ref = tmp("cli_ref8.fa");
+  const std::string reads = tmp("cli_reads8.fq");
+  const std::string index = tmp("cli_ref8.mmi");
+  const std::string err = tmp("cli_err8.txt");
+  ASSERT_EQ(run_cli("simulate " + ref + " " + reads + " --length 50000 --reads 3"), 0);
+  for (const char* bad : {"-w 300", "-w 257", "-k 3", "-k 29", "-k 4294967311"}) {
+    const int status = run_cli_stderr("index " + ref + " " + index + " " + bad, err);
+    ASSERT_TRUE(WIFEXITED(status)) << bad << " killed by a signal";
+    EXPECT_EQ(WEXITSTATUS(status), 2) << bad;
+    const std::string msg = slurp(err);
+    EXPECT_NE(msg.find("index needs 4 <= -k <= 28 and 1 <= -w <= 256"), std::string::npos)
+        << msg;
+    EXPECT_FALSE(std::ifstream(index).good()) << bad << " wrote an index";
+  }
+  EXPECT_EQ(run_cli("index " + ref + " " + index + " -k 28 -w 256"), 0);
+  for (const auto& p : {ref, reads, index, err}) std::remove(p.c_str());
 }
 
 TEST(Cli, UsageOnBadInvocation) {

@@ -4,9 +4,11 @@
 #include <map>
 #include <set>
 
+#include "core/options.hpp"
 #include "index/hash_index.hpp"
 #include "index/index_io.hpp"
 #include "index/minimizer.hpp"
+#include "io/checksum.hpp"
 #include "simulate/genome.hpp"
 
 namespace manymap {
@@ -17,6 +19,125 @@ std::vector<u8> random_seq(u64 seed, std::size_t n) {
   std::vector<u8> s(n);
   for (auto& b : s) b = rng.base();
   return s;
+}
+
+/// The O(n*w) scan sketch() used to run: every window end rescans all w
+/// ring slots. Kept here, verbatim in its selection logic, as the oracle
+/// the amortized sketcher must match minimizer for minimizer.
+std::vector<Minimizer> sketch_oracle(const std::vector<u8>& seq, u32 rid, const SketchParams& p) {
+  std::vector<Minimizer> out;
+  const std::size_t n = seq.size();
+  if (n < p.k) return out;
+  const u64 mask = (1ULL << (2 * p.k)) - 1;
+  const u32 shift = 2 * (p.k - 1);
+  struct Slot {
+    u64 hash = ~0ULL;
+    u32 pos = 0;
+    bool rev = false;
+    bool valid = false;
+  };
+  std::vector<Slot> ring(p.w);
+  u64 fwd = 0, rev = 0;
+  u32 kmer_span = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const u8 b = seq[i];
+    Slot cur;
+    if (b < 4) {
+      fwd = ((fwd << 2) | b) & mask;
+      rev = (rev >> 2) | (static_cast<u64>(3 - b) << shift);
+      ++kmer_span;
+    } else {
+      kmer_span = 0;
+    }
+    if (kmer_span >= p.k && fwd != rev) {
+      const bool use_rev = rev < fwd;
+      cur.hash = invertible_hash(use_rev ? rev : fwd, mask);
+      cur.pos = static_cast<u32>(i);
+      cur.rev = use_rev;
+      cur.valid = true;
+    }
+    ring[i % p.w] = cur;
+    if (i + 1 >= static_cast<std::size_t>(p.k) + p.w - 1) {
+      const Slot* best = nullptr;
+      for (u32 s = 0; s < p.w; ++s) {
+        const Slot& c = ring[s];
+        if (!c.valid) continue;
+        if (best == nullptr || c.hash < best->hash ||
+            (c.hash == best->hash && c.pos > best->pos))
+          best = &c;
+      }
+      if (best != nullptr) {
+        const Minimizer m{best->hash, best->pos, rid, best->rev};
+        if (out.empty() || !(out.back() == m)) out.push_back(m);
+      }
+    }
+  }
+  return out;
+}
+
+/// Inputs that stress the selection rule: uniform bases; a 2-letter
+/// alphabet and homopolymer runs (repeated k-mers, so hash ties inside a
+/// window); ACGT tandems (palindromic k-mers for even k); N runs.
+std::vector<u8> stress_seq(Rng& rng, std::size_t n, int kind) {
+  std::vector<u8> s(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    switch (kind) {
+      case 0: s[i] = rng.base(); break;
+      case 1: s[i] = static_cast<u8>(rng.uniform(2) * 3); break;  // A/T only
+      case 2: s[i] = i > 0 && rng.bernoulli(0.9) ? s[i - 1] : rng.base(); break;
+      case 3: s[i] = rng.bernoulli(0.05) ? rng.base() : static_cast<u8>(i % 4); break;
+      default: s[i] = rng.base(); break;
+    }
+  }
+  if (kind == 4 || kind == 3) {  // N runs of 1..40 bases
+    for (std::size_t runs = rng.uniform(4); runs > 0 && n > 0; --runs) {
+      const std::size_t at = rng.uniform(n);
+      const std::size_t len = 1 + rng.uniform(40);
+      for (std::size_t i = at; i < std::min(n, at + len); ++i) s[i] = kBaseN;
+    }
+  }
+  return s;
+}
+
+TEST(Minimizer, MatchesQuadraticOracle) {
+  // Every k, w across the contract's range; lengths straddling the first
+  // full window (k + w - 1) and well past it.
+  const u32 ws[] = {1,  2,  3,  4,   5,   7,   8,   10,  11,  16,
+                    19, 31, 32, 64, 100, 127, 128, 200, 255, 256};
+  Rng rng(0x5eed);
+  u64 cases = 0, minimizers = 0;
+  for (u32 k = SketchParams::kMinK; k <= SketchParams::kMaxK; ++k) {
+    for (const u32 w : ws) {
+      const SketchParams p{k, w};
+      const std::size_t full = k + w - 1;
+      std::vector<std::size_t> lengths;
+      for (std::size_t d = 0; d <= 4; ++d) lengths.push_back(full + d - 2);  // full >= 4
+      lengths.push_back(3 * full + rng.uniform(400));
+      for (const std::size_t n : lengths) {
+        for (int kind = 0; kind < 5; ++kind) {
+          const auto s = stress_seq(rng, n, kind);
+          const auto want = sketch_oracle(s, 7, p);
+          ASSERT_EQ(sketch(s, 7, p), want) << "k=" << k << " w=" << w << " n=" << n
+                                            << " kind=" << kind;
+          ++cases;
+          minimizers += want.size();
+        }
+      }
+    }
+  }
+  EXPECT_GT(minimizers, cases);  // the sweep selects real minimizers
+}
+
+TEST(Minimizer, RejectsParamsOutsideTheContract) {
+  const auto s = random_seq(13, 400);
+  EXPECT_FALSE((SketchParams{3, 10}.valid()));
+  EXPECT_FALSE((SketchParams{29, 10}.valid()));
+  EXPECT_FALSE((SketchParams{15, 0}.valid()));
+  EXPECT_FALSE((SketchParams{15, 257}.valid()));
+  EXPECT_TRUE((SketchParams{4, 1}.valid()));
+  EXPECT_TRUE((SketchParams{28, 256}.valid()));
+  EXPECT_DEATH(sketch(s, 0, SketchParams{3, 10}), "sketch params out of range");
+  EXPECT_DEATH(sketch(s, 0, SketchParams{15, 300}), "sketch params out of range");
 }
 
 TEST(Minimizer, ShortSequenceYieldsNothing) {
@@ -172,6 +293,45 @@ TEST(IndexIo, RoundTripBothLoaders) {
     }
   }
   std::remove(path.c_str());
+}
+
+/// Reference for the golden digests: 3 contigs with planted repeats plus
+/// N runs, so the digest covers N handling too.
+Reference golden_reference() {
+  GenomeParams gp;
+  gp.total_length = 400'000;
+  gp.num_contigs = 3;
+  gp.seed = 2024;
+  std::vector<Sequence> contigs = generate_genome(gp).contigs();
+  for (std::size_t i = 1'000; i < 1'300; ++i) contigs[0].codes[i] = kBaseN;
+  for (std::size_t i = 50'000; i < 50'007; ++i) contigs[1].codes[i] = kBaseN;
+  Reference ref;
+  for (auto& c : contigs) ref.add(std::move(c));
+  return ref;
+}
+
+TEST(IndexBytes, GoldenDigests) {
+  // The bytes of a built index depend on the minimizer selection rule, the
+  // table layout and the file format; none of them may drift silently.
+  const Reference ref = golden_reference();
+  struct Golden {
+    const char* name;
+    SketchParams params;
+    u64 xxh64;
+  };
+  const Golden golden[] = {
+      {"map-pb", preset_by_name("map-pb")->sketch, 0x10256e38999eb05cULL},
+      {"map-ont", preset_by_name("map-ont")->sketch, 0x10256e38999eb05cULL},
+      {"k13w5", SketchParams{13, 5}, 0x10a751f994dc7494ULL},
+      {"k4w1", SketchParams{4, 1}, 0xb414ea47a4c9ec1aULL},
+      {"k28w256", SketchParams{28, 256}, 0xc9f90fcdfd6b5429ULL},
+  };
+  for (const auto& g : golden) {
+    const std::string image = serialize_index(MinimizerIndex::build(ref, g.params));
+    const u64 got = xxh64(image.data(), image.size());
+    EXPECT_EQ(got, g.xxh64) << g.name << ": got 0x" << std::hex << got << std::dec << " over "
+                            << image.size() << " bytes";
+  }
 }
 
 }  // namespace

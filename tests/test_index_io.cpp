@@ -348,6 +348,10 @@ TEST(IndexHostile, RestampedLiesAreCaughtStructurally) {
       {"file_bytes understated", [](IndexHeader& h) { h.file_bytes -= 1; }},
       {"file_bytes overstated", [](IndexHeader& h) { h.file_bytes += 4'096; }},
       {"zero k", [](IndexHeader& h) { h.k = 0; }},
+      // Well-formed but outside the SketchParams contract sketch() needs.
+      {"k below the sketch contract", [](IndexHeader& h) { h.k = 3; }},
+      {"k above the sketch contract", [](IndexHeader& h) { h.k = 29; }},
+      {"w above the sketch contract", [](IndexHeader& h) { h.w = 300; }},
       {"section offset shifted", [](IndexHeader& h) { h.entries.offset += 16; }},
   };
   for (const auto& lie : lies) {
@@ -467,7 +471,13 @@ TEST(IndexMatchesReference, DetectsEveryMismatch) {
   gp.seed = 21;
   const Reference ref = generate_genome(gp);
   const MinimizerIndex good = MinimizerIndex::build(ref, SketchParams{11, 6});
-  EXPECT_EQ(index_matches_reference(ref, good), "");
+  EXPECT_EQ(index_matches_reference(ref, SketchParams{11, 6}, good), "");
+  // Another w only thins or thickens the sampled k-mers; another k would
+  // misplace every anchor.
+  EXPECT_EQ(index_matches_reference(ref, SketchParams{11, 10}, good), "");
+  const std::string k_msg = index_matches_reference(ref, SketchParams{15, 6}, good);
+  EXPECT_NE(k_msg.find("built with k=11"), std::string::npos) << k_msg;
+  EXPECT_NE(k_msg.find("use k=15"), std::string::npos) << k_msg;
 
   GenomeParams other = gp;
   other.seed = 22;
@@ -475,7 +485,7 @@ TEST(IndexMatchesReference, DetectsEveryMismatch) {
   const MinimizerIndex wrong = MinimizerIndex::build(wrong_ref, SketchParams{11, 6});
   // Same contig count and names but different lengths/content: must be
   // reported with an actionable message.
-  const std::string msg = index_matches_reference(ref, wrong);
+  const std::string msg = index_matches_reference(ref, SketchParams{11, 6}, wrong);
   if (!msg.empty()) SUCCEED();
   // A structurally different genome definitely mismatches.
   GenomeParams two = gp;
@@ -483,7 +493,7 @@ TEST(IndexMatchesReference, DetectsEveryMismatch) {
   two.seed = 23;
   const Reference ref3 = generate_genome(two);
   const MinimizerIndex idx3 = MinimizerIndex::build(ref3, SketchParams{11, 6});
-  EXPECT_NE(index_matches_reference(ref, idx3), "");
+  EXPECT_NE(index_matches_reference(ref, SketchParams{11, 6}, idx3), "");
 }
 
 // ---------------------------------------------------------------------------
@@ -614,6 +624,32 @@ TEST(ServiceIndexLoad, MismatchedReferenceIsRefused) {
     std::this_thread::sleep_for(5ms);
   EXPECT_EQ(svc.metrics().snapshot().index_reloads, 0u);
   EXPECT_EQ(&svc.mapper(), before);
+  svc.shutdown();
+  std::remove(path.c_str());
+}
+
+TEST(ServiceIndexLoad, OtherKIndexIsRefused) {
+  // Same genome, other k: the mapper would sketch reads with k=15 and read
+  // anchor offsets with the index's k, so the reload must be refused.
+  const std::string path = tmp_path("otherk") + ".mmmi";
+  ServiceConfig cfg = quick_cfg();
+  SketchParams other_k = cfg.map.sketch;
+  other_k.k = 19;
+  save_index(path, MinimizerIndex::build(sw().ref, other_k));
+
+  cfg.index.max_attempts = 1;
+  AlignmentService svc(sw().ref, cfg);
+  const Mapper* before = &svc.mapper();
+  ASSERT_TRUE(svc.begin_index_reload(path));
+  for (int i = 0; i < 2'000 && svc.metrics().snapshot().index_reload_failures < 1; ++i)
+    std::this_thread::sleep_for(5ms);
+  EXPECT_EQ(svc.metrics().snapshot().index_reload_failures, 1u);
+  EXPECT_EQ(svc.metrics().snapshot().index_reloads, 0u);
+  EXPECT_EQ(&svc.mapper(), before);
+  MapRequest req;
+  req.id = 1;
+  req.read = sw().reads[0];
+  EXPECT_EQ(svc.map_sync(std::move(req)).status, RequestStatus::kOk);
   svc.shutdown();
   std::remove(path.c_str());
 }

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
+#include <cstdio>
+#include <string>
+#include <thread>
+#include <utility>
+
 #include "sequence/dna.hpp"
 #include "sequence/fasta.hpp"
 #include "sequence/sequence.hpp"
@@ -109,6 +116,49 @@ TEST(Fastq, AutoDetect) {
   EXPECT_EQ(parse_sequences(">a\nAC\n")[0].name, "a");
   EXPECT_EQ(parse_sequences("@b\nAC\n+\nII\n")[0].name, "b");
   EXPECT_TRUE(parse_sequences("").empty());
+}
+
+TEST(SequenceFile, ReadsWholeFileLikeTheParser) {
+  // A file larger than the drain chunk, as FASTQ and as FASTA.
+  std::vector<Sequence> seqs;
+  for (int i = 0; i < 40; ++i)
+    seqs.push_back(
+        Sequence::from_ascii("r" + std::to_string(i), std::string(3'000 + i, "ACGT"[i % 4])));
+  const std::string fq = ::testing::TempDir() + "/mm_read_file.fq";
+  const std::string fa = ::testing::TempDir() + "/mm_read_file.fa";
+  write_fastq_file(fq, seqs);
+  write_fasta_file(fa, seqs);
+  for (const auto& [path, text] :
+       {std::pair{fq, to_fastq(seqs)}, std::pair{fa, to_fasta(seqs)}}) {
+    const auto got = read_sequence_file(path);
+    const auto want = parse_sequences(text);
+    ASSERT_EQ(got.size(), want.size()) << path;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].name, want[i].name);
+      EXPECT_EQ(got[i].codes, want[i].codes);
+      EXPECT_EQ(got[i].qual, want[i].qual);
+    }
+    std::remove(path.c_str());
+  }
+}
+
+TEST(SequenceFile, ReadsStreamsOfUnknownSize) {
+  // /dev/stdin-style inputs report size 0; the reader must drain them.
+  const std::string fifo = ::testing::TempDir() + "/mm_read_file.fifo";
+  std::remove(fifo.c_str());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  const std::string text = to_fastq({Sequence::from_ascii("q", std::string(200'000, 'C'))});
+  std::thread writer([&] {
+    std::FILE* f = std::fopen(fifo.c_str(), "wb");
+    if (f == nullptr) return;
+    std::fwrite(text.data(), 1, text.size(), f);
+    std::fclose(f);
+  });
+  const auto got = read_sequence_file(fifo);
+  writer.join();
+  std::remove(fifo.c_str());
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].size(), 200'000u);
 }
 
 }  // namespace

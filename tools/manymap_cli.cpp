@@ -16,6 +16,8 @@
 //   --threads N                  compute threads (default 2)
 //   --pipeline minimap2|manymap  batch pipeline (default manymap)
 //   --no-mmap                    load files with buffered reads, not mmap
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -112,9 +114,16 @@ int cmd_index(const ArgList& args) {
   const auto k = positive_opt(args, "k", 15);
   const auto w = positive_opt(args, "w", 10);
   if (!k || !w) return usage();
-  SketchParams sp;
-  sp.k = static_cast<u32>(*k);
-  sp.w = static_cast<u32>(*w);
+  // Clamp before narrowing so a huge value cannot wrap into the range.
+  const SketchParams sp{static_cast<u32>(std::min<i64>(*k, UINT32_MAX)),
+                        static_cast<u32>(std::min<i64>(*w, UINT32_MAX))};
+  if (!sp.valid()) {
+    std::fprintf(stderr,
+                 "manymap: index needs %u <= -k <= %u and 1 <= -w <= %u, got -k %lld -w %lld\n",
+                 SketchParams::kMinK, SketchParams::kMaxK, SketchParams::kMaxW,
+                 static_cast<long long>(*k), static_cast<long long>(*w));
+    return usage();
+  }
   const Reference ref = load_reference(args.positional[0], true);
   const auto index = MinimizerIndex::build(ref, sp);
   const u64 bytes = save_index(args.positional[1], index);
@@ -158,7 +167,7 @@ int cmd_map(const ArgList& args) {
       std::fprintf(stderr, "manymap: %s [%s]\n", res.message.c_str(), to_string(res.status));
       return 1;
     }
-    const std::string mismatch = index_matches_reference(ref, res.index);
+    const std::string mismatch = index_matches_reference(ref, opt.sketch, res.index);
     if (!mismatch.empty()) {
       std::fprintf(stderr, "manymap: index '%s' does not match reference '%s': %s\n",
                    path.c_str(), args.positional[0].c_str(), mismatch.c_str());
