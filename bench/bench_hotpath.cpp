@@ -202,6 +202,33 @@ void collect(const Workload& w, double min_seconds, std::vector<Row>& rows) {
   }
 }
 
+/// Small global pair rows (mode "score-small" / "path-small"): a gap-fill
+/// sized pair, which the AVX-512BW manymap kernel runs on its
+/// register-resident strip path, so the zero-allocation check covers the
+/// strip path's carry rows as well as the memory kernels.
+void collect_small(double min_seconds, std::vector<Row>& rows) {
+  const Workload w = make_workload(200);
+  for (const Layout layout : {Layout::kMinimap2, Layout::kManymap}) {
+    for (const Isa isa : {Isa::kScalar, Isa::kSse2, Isa::kAvx2, Isa::kAvx512}) {
+      const KernelFn fn = get_diff_kernel(layout, isa);
+      if (fn == nullptr) continue;
+      for (const bool cigar : {false, true}) {
+        DiffArgs a;
+        a.target = w.target.data();
+        a.tlen = static_cast<i32>(w.target.size());
+        a.query = w.query.data();
+        a.qlen = static_cast<i32>(w.query.size());
+        a.mode = AlignMode::kGlobal;
+        a.with_cigar = cigar;
+        Row row = bench_backend("diff", layout, isa, cigar, false, fn, a, min_seconds);
+        row.mode += "-small";
+        row.baseline_ns = 0.0;  // no pre-change baseline for this shape
+        rows.push_back(row);
+      }
+    }
+  }
+}
+
 /// Banded kernel rows: one 16 kbp x 16 kbp related pair (the paper's long
 /// read scale) in path mode on the widest ISA, band 0 (full) vs 64 / 251 /
 /// 1024 half-widths, dirs streamed through a 256 KiB resident block so the
@@ -492,6 +519,7 @@ int main(int argc, char** argv) {
 
   std::vector<Row> rows;
   collect(w, min_seconds, rows);
+  collect_small(min_seconds, rows);
   const double banded_speedup = collect_banded(min_seconds, rows);
   const double autoband_speedup = collect_autoband_e2e(min_seconds, rows);
 

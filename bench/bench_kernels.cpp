@@ -2,14 +2,26 @@
 // every (layout, ISA) pair, score-only and full-path, at a representative
 // length. Complements the figure benches with statistically-stable
 // per-kernel numbers.
+//
+// The small-problem sweep (`small/<kernel>/<n>/<mode>`) times the two
+// halves of the AVX-512BW manymap kernel on their own — the
+// register-resident strip kernel and the memory kernel, unbanded and with
+// the band auto mode picks for a drift-free n x n gap fill — on n x n
+// global pairs from 16 to 2048 bases through a warm arena, as the mapper
+// calls them. The size where the strip kernel stops beating the memory
+// kernel in path mode backs kStripMaxRows (DESIGN.md §5):
+//   bench_kernels --benchmark_filter=small/ --benchmark_repetitions=5
 #include <benchmark/benchmark.h>
 
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "align/arena.hpp"
+#include "align/diff_kernels.hpp"
 #include "align/kernel_api.hpp"
 #include "base/random.hpp"
+#include "core/band_policy.hpp"
 
 namespace manymap {
 namespace {
@@ -57,6 +69,70 @@ void bench_kernel(benchmark::State& state, Layout layout, Isa isa, bool with_cig
                                                benchmark::Counter::kIsRate);
 }
 
+/// n x n global pair, the query a 15%-substituted copy of the target.
+void bench_small(benchmark::State& state, KernelFn fn, i32 n, i32 band, bool with_cigar) {
+  if (fn == nullptr) {
+    state.SkipWithError("AVX-512BW not available");
+    return;
+  }
+  Rng rng(static_cast<u64>(n));
+  std::vector<u8> target(static_cast<std::size_t>(n));
+  for (auto& b : target) b = rng.base();
+  std::vector<u8> query = target;
+  for (auto& b : query)
+    if (rng.bernoulli(0.15)) b = rng.base();
+  detail::KernelArena arena;
+  DiffArgs a;
+  a.target = target.data();
+  a.tlen = n;
+  a.query = query.data();
+  a.qlen = n;
+  a.mode = AlignMode::kGlobal;
+  a.with_cigar = with_cigar;
+  a.arena = &arena;
+  a.band = band;
+  u64 cells = 0;
+  for (auto _ : state) {
+    const auto r = fn(a);
+    benchmark::DoNotOptimize(r.score);
+    cells += r.cells;
+  }
+  state.counters["GCUPS"] = benchmark::Counter(static_cast<double>(cells) / 1e9,
+                                               benchmark::Counter::kIsRate);
+  state.counters["ns_per_diag"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * (2.0 * n - 1),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+void register_small_sweep() {
+  for (const i32 n :
+       {16, 32, 64, 128, 192, 256, 384, 512, 640, 768, 896, 1024, 1280, 1536, 2048}) {
+    const AutoBandPolicy policy;
+    const i32 auto_band =
+        profitable_band(auto_band_for_gap(n, n, 0, policy), n, n, policy);
+    struct Entry {
+      const char* name;
+      KernelFn fn;
+      i32 band;
+    };
+    std::vector<Entry> kernels{{"strip", detail::strip_kernel(), 0},
+                               {"memory", detail::avx512_memory_kernel(), 0}};
+    if (auto_band > 0)  // below ~128 auto runs the fill full
+      kernels.push_back({"banded", detail::avx512_memory_kernel(), auto_band});
+    for (const Entry& k : kernels) {
+      for (const bool cigar : {false, true}) {
+        const std::string name = std::string("small/") + k.name + "/" + std::to_string(n) +
+                                 (cigar ? "/path" : "/score");
+        const KernelFn fn = k.fn;
+        const i32 band = k.band;
+        benchmark::RegisterBenchmark(name.c_str(), [fn, n, band, cigar](benchmark::State& s) {
+          bench_small(s, fn, n, band, cigar);
+        });
+      }
+    }
+  }
+}
+
 void register_all() {
   for (const Layout layout : {Layout::kMinimap2, Layout::kManymap}) {
     for (const Isa isa : {Isa::kScalar, Isa::kSse2, Isa::kAvx2, Isa::kAvx512}) {
@@ -77,6 +153,7 @@ void register_all() {
 
 int main(int argc, char** argv) {
   manymap::register_all();
+  manymap::register_small_sweep();
   // Always leave a machine-readable artifact: default --benchmark_out to
   // BENCH_kernels.json unless the caller chose their own sink.
   std::vector<char*> args(argv, argv + argc);

@@ -19,9 +19,12 @@ inline std::size_t row_size(i32 tlen) {
 }
 
 /// v/x slot count: the manymap layout indexes by t' = t - r + qlen, which
-/// spans [?, qlen]; the minimap2 layout indexes by t.
+/// spans [?, qlen]; the minimap2 layout indexes by t. The manymap rows get
+/// a second pad because the strip kernel uses them as its carry rows,
+/// offset by kLanePad (align/diff_strip_avx512.cpp).
 inline std::size_t vx_size(i32 tlen, i32 qlen, bool manymap_layout) {
-  return static_cast<std::size_t>(manymap_layout ? qlen + 1 : tlen) + kLanePad;
+  return manymap_layout ? static_cast<std::size_t>(qlen) + 1 + 2 * kLanePad
+                        : static_cast<std::size_t>(tlen) + kLanePad;
 }
 
 }  // namespace
@@ -76,10 +79,10 @@ void KernelArena::refresh_diag_off(i32 tlen, i32 qlen, i32 band) {
 }
 
 void KernelArena::copy_sequences(const u8* target, i32 tlen, const u8* query, i32 qlen) {
-  // Only the valid prefixes: pad bytes beyond them are read exclusively by
+  // Only the valid prefixes: pad bytes around them are read exclusively by
   // dead vector lanes, whose results never reach a live cell.
   std::memcpy(tp_.data(), target, static_cast<std::size_t>(tlen));
-  u8* qr = qr_.data();
+  u8* qr = qr_.data() + kLanePad;
   for (i32 j = 0; j < qlen; ++j) qr[qlen - 1 - j] = query[j];
 }
 
@@ -87,7 +90,9 @@ void KernelArena::reserve_diff(const DiffArgs& a, bool manymap_layout, bool twop
   const std::size_t un = row_size(a.tlen);
   const std::size_t vn = vx_size(a.tlen, a.qlen, manymap_layout);
   const std::size_t tn = row_size(a.tlen);
-  const std::size_t qn = static_cast<std::size_t>(a.qlen) + kLanePad;
+  // The reversed query is padded on both sides: the strip kernel's query
+  // loads run up to kLanePad - 1 bytes before it.
+  const std::size_t qn = static_cast<std::size_t>(a.qlen) + 2 * kLanePad;
   // Streaming path mode only keeps one fixed-size block resident; the
   // spill sink owns everything else.
   const std::size_t dn =
@@ -132,7 +137,7 @@ DiffWorkspace KernelArena::prepare_diff(const DiffArgs& a, bool manymap_layout) 
   ws.V = v_.data();
   ws.X = x_.data();
   ws.tp = tp_.data();
-  ws.qr = qr_.data();
+  ws.qr = qr_.data() + kLanePad;
   if (a.with_cigar) {
     refresh_diag_off(a.tlen, a.qlen, a.band);
     ws.diag_off = diag_off_.data();
@@ -164,7 +169,7 @@ TwoPieceWorkspace KernelArena::prepare_twopiece(const TwoPieceArgs& a, bool many
   ws.X1 = x_.data();
   ws.X2 = x2_.data();
   ws.tp = tp_.data();
-  ws.qr = qr_.data();
+  ws.qr = qr_.data() + kLanePad;
   if (a.with_cigar) {
     refresh_diag_off(a.tlen, a.qlen, a.band);
     ws.diag_off = diag_off_.data();

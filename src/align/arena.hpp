@@ -92,10 +92,12 @@ struct DirsStream {
 struct DiffWorkspace {
   i8* U = nullptr;           ///< indexed by t (size tlen + pad)
   i8* Y = nullptr;
-  i8* V = nullptr;           ///< mm2 layout: by t; manymap layout: by t'
+  /// V/X: mm2 layout by t, manymap layout by t'. The strip kernel uses
+  /// the manymap rows as its carry rows, by query column from kLanePad on.
+  i8* V = nullptr;
   i8* X = nullptr;
   const u8* tp = nullptr;    ///< padded copy of target codes
-  const u8* qr = nullptr;    ///< reversed padded copy of query codes
+  const u8* qr = nullptr;    ///< reversed copy of query codes, kLanePad each side
   u8* dirs = nullptr;        ///< per-cell direction bytes (resident path mode)
   const u64* diag_off = nullptr;  ///< dirs offset of each padded diagonal row
   DirsStream* stream = nullptr;   ///< non-null in streaming path mode

@@ -58,7 +58,12 @@ struct VecAvx512 {
 }  // namespace
 
 AlignResult align_avx512_mm2(const DiffArgs& a) { return simd_align<VecAvx512, false>(a); }
-AlignResult align_avx512_manymap(const DiffArgs& a) { return simd_align<VecAvx512, true>(a); }
+AlignResult align_avx512_manymap_memory(const DiffArgs& a) {
+  return simd_align<VecAvx512, true>(a);
+}
+AlignResult align_avx512_manymap(const DiffArgs& a) {
+  return takes_strip_path(a) ? align_avx512_strips(a) : align_avx512_manymap_memory(a);
+}
 
 }  // namespace detail
 }  // namespace manymap

@@ -29,8 +29,31 @@ AlignResult align_avx2_manymap(const DiffArgs& a);
 #endif
 #if MANYMAP_HAVE_AVX512_KERNELS
 AlignResult align_avx512_mm2(const DiffArgs& a);
+/// Sends the calls takes_strip_path picks to align_avx512_strips and the
+/// rest to align_avx512_manymap_memory.
 AlignResult align_avx512_manymap(const DiffArgs& a);
+AlignResult align_avx512_manymap_memory(const DiffArgs& a);
+AlignResult align_avx512_strips(const DiffArgs& a);
 #endif
+
+/// Calls the strip kernel computes: unbanded global DP without dirs
+/// streaming, at any target length.
+inline bool strip_kernel_accepts(const DiffArgs& a) {
+  return a.mode == AlignMode::kGlobal && a.band == 0 && a.zdrop == 0 &&
+         a.spill == nullptr;
+}
+
+/// Calls the AVX-512BW manymap kernel sends to the strip kernel.
+inline bool takes_strip_path(const DiffArgs& a) {
+  return strip_kernel_accepts(a) && a.tlen <= kStripMaxRows;
+}
+
+/// The two halves of the AVX-512BW manymap kernel on their own, without
+/// the routing: the strip kernel and the memory kernel. nullptr when
+/// AVX-512BW is not compiled in or not supported by this CPU. Tests and
+/// the kernel benches compare them.
+KernelFn strip_kernel();
+KernelFn avx512_memory_kernel();
 
 }  // namespace detail
 }  // namespace manymap

@@ -36,6 +36,28 @@ KernelFn get_diff_kernel(Layout layout, Isa isa) {
   return nullptr;
 }
 
+bool kernel_has_strips(KernelFn kernel) {
+  return kernel != nullptr && kernel == get_diff_kernel(Layout::kManymap, Isa::kAvx512);
+}
+
+namespace detail {
+
+KernelFn strip_kernel() {
+#if MANYMAP_HAVE_AVX512_KERNELS
+  if (cpu_features().avx512bw) return align_avx512_strips;
+#endif
+  return nullptr;
+}
+
+KernelFn avx512_memory_kernel() {
+#if MANYMAP_HAVE_AVX512_KERNELS
+  if (cpu_features().avx512bw) return align_avx512_manymap_memory;
+#endif
+  return nullptr;
+}
+
+}  // namespace detail
+
 TwoPieceKernelFn get_twopiece_kernel(Layout layout, Isa isa) {
   const auto& f = cpu_features();
   switch (isa) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <utility>
 
 #include "align/banded.hpp"
 
@@ -58,11 +59,11 @@ AlignResult align_with_fallback(const DiffArgs& args, KernelFn primary, Layout l
   };
 
   if (primary != nullptr) {
-    if (auto r = attempt(0, [&] { return primary(args); })) return *r;
+    if (auto r = attempt(0, [&] { return primary(args); })) return std::move(*r);
   }
   KernelFn scalar = get_diff_kernel(layout, Isa::kScalar);
   if (scalar != nullptr && scalar != primary) {
-    if (auto r = attempt(1, [&] { return scalar(args); })) return *r;
+    if (auto r = attempt(1, [&] { return scalar(args); })) return std::move(*r);
   }
   // Last rung: no retry loop — let any failure propagate to the caller.
   AlignResult r = run_banded_reference(args);

@@ -112,6 +112,16 @@ using KernelFn = AlignResult (*)(const DiffArgs&);
 /// supported by this CPU.
 KernelFn get_diff_kernel(Layout layout, Isa isa);
 
+/// Longest target the AVX-512BW manymap kernel hands to its
+/// register-resident strip path (align/diff_strip_avx512.cpp), set at the
+/// measured strip/memory-kernel crossover (DESIGN.md §5).
+inline constexpr i32 kStripMaxRows = 1024;
+
+/// True when `kernel` (a get_diff_kernel result) runs unbanded global
+/// calls with |T| <= kStripMaxRows on the strip path. Only the AVX-512BW
+/// manymap kernel does.
+bool kernel_has_strips(KernelFn kernel);
+
 /// ISAs usable on this machine (always contains kScalar and kSse2 on
 /// x86-64), in increasing width order.
 std::vector<Isa> available_isas();

@@ -151,6 +151,7 @@ std::vector<Mapping> Mapper::map(const Sequence& read, const MapCall& call) cons
                                  : opt_.band_mode;
   const i32 eff_band = call.band >= 0 ? call.band : opt_.band;
   const i32 eff_zdrop = call.zdrop >= 0 ? call.zdrop : opt_.zdrop;
+  const bool strip_fills = kernel_has_strips(kernel);
   u64 band_fallbacks = 0;
   u64 auto_band_kernels = 0;
   u64 auto_band_full = 0;
@@ -171,7 +172,14 @@ std::vector<Mapping> Mapper::map(const Sequence& read, const MapCall& call) cons
     a.with_cigar = with_cigar;
     a.arena = &arena;
     if (band_mode == BandMode::kAuto) {
-      a.band = profitable_band(band_hint, target.size(), query.size(), opt_.auto_band);
+      // Global fills the strip path covers run unbanded: a strip pass
+      // costs less than the memory kernel, and than a band on the noisy
+      // fills that reach the cut (DESIGN.md §5). The unbanded answer is
+      // the one a band-hit rerun would give anyway.
+      a.band = strip_fills && mode == AlignMode::kGlobal && a.tlen <= kStripMaxRows
+                   ? 0
+                   : profitable_band(band_hint, target.size(), query.size(),
+                                     opt_.auto_band);
       a.zdrop = 0;
       if (a.band > 0) {
         ++auto_band_kernels;

@@ -216,9 +216,11 @@ struct AutoBandSweepResult {
 };
 
 /// Auto-band mapper contract sweep: each seed generates a small genome and
-/// simulated long reads, then maps every read twice through the real
-/// Mapper — band_mode off vs auto — and requires bit-identical mapping
-/// lists (every field, CIGAR included). Counter consistency is asserted
+/// simulated long reads, then maps every read through the real Mapper —
+/// band_mode off vs auto, auto both on the configured layout and on the
+/// minimap2 layout (no strip path, so auto bands every fill it would have
+/// banded before the strip path existed) — and requires bit-identical
+/// mapping lists (every field, CIGAR included). Counter consistency is asserted
 /// (banded attempts and fallbacks are counted, never silent), a hostile
 /// undersized-band policy periodically proves the fallback contract under
 /// estimator failure, and the default policy's cumulative fallback rate

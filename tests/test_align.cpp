@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "align/arena.hpp"
 #include "align/cigar.hpp"
 #include "align/diff_common.hpp"
 #include "align/diff_kernels.hpp"
@@ -226,6 +230,153 @@ TEST(DiffBound, DifferencesStayWithinSuzukiKasaharaBound) {
     EXPECT_EQ(scalar.score, sse2.score);
     (void)bound;
   }
+}
+
+// Strip path (align/diff_strip_avx512.cpp): the register-resident kernel
+// for small global fills must equal the reference DP and the AVX-512
+// memory kernel on score, end cell and CIGAR, on both sides of every
+// 64-row strip edge and of the kStripMaxRows routing cut.
+class StripPath : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (detail::strip_kernel() == nullptr)
+      GTEST_SKIP() << "no AVX-512BW on this host: the strip path is not exercised";
+  }
+
+  /// Random codes with ~1 in 16 N bases.
+  static std::vector<u8> random_codes(Rng& rng, i32 n) {
+    std::vector<u8> s(static_cast<std::size_t>(n));
+    for (auto& b : s) b = rng.uniform(16) == 0 ? 4 : rng.base();
+    return s;
+  }
+
+  /// A query related to `t` when the lengths allow it (substitutions and
+  /// an indel or two, so the path has gaps), otherwise random.
+  static std::vector<u8> related_query(Rng& rng, const std::vector<u8>& t, i32 qlen) {
+    if (qlen < 8 || static_cast<std::size_t>(qlen) + 8 < t.size() ||
+        static_cast<std::size_t>(qlen) > t.size() + 8)
+      return random_codes(rng, qlen);
+    std::vector<u8> q = t;
+    for (auto& b : q)
+      if (rng.bernoulli(0.12)) b = rng.uniform(16) == 0 ? 4 : rng.base();
+    while (static_cast<i32>(q.size()) > qlen) q.erase(q.begin() + rng.uniform(q.size()));
+    while (static_cast<i32>(q.size()) < qlen)
+      q.insert(q.begin() + rng.uniform(q.size() + 1), rng.base());
+    return q;
+  }
+
+  static void expect_same(const AlignResult& got, const AlignResult& want,
+                          const std::string& what) {
+    EXPECT_EQ(got.score, want.score) << what;
+    EXPECT_EQ(got.t_end, want.t_end) << what;
+    EXPECT_EQ(got.q_end, want.q_end) << what;
+    EXPECT_EQ(got.cells, want.cells) << what;
+    EXPECT_EQ(got.cigar.to_string(), want.cigar.to_string()) << what;
+  }
+
+  /// Strip kernel, routed AVX-512 manymap kernel and memory kernel all
+  /// equal the reference DP, in score and path mode.
+  static void check(const std::vector<u8>& t, const std::vector<u8>& q,
+                    const ScoreParams& p, detail::KernelArena* arena) {
+    for (const bool cigar : {false, true}) {
+      DiffArgs a = make_args(t, q, AlignMode::kGlobal, cigar, p);
+      const AlignResult want = reference_align(a);
+      a.arena = arena;
+      const std::string what = "tlen=" + std::to_string(t.size()) +
+                               " qlen=" + std::to_string(q.size()) +
+                               (cigar ? " path" : " score");
+      expect_same(detail::strip_kernel()(a), want, "strip " + what);
+      expect_same(get_diff_kernel(Layout::kManymap, Isa::kAvx512)(a), want,
+                  "routed " + what);
+      expect_same(detail::avx512_memory_kernel()(a), want, "memory " + what);
+    }
+  }
+};
+
+TEST_F(StripPath, MatchesReferenceAcrossStripEdgesAndTheCut) {
+  Rng rng(2024);
+  const ScoreParams p;
+  detail::KernelArena arena;
+  for (const i32 tlen : {1, 63, 64, 65, 127, 128, 129, kStripMaxRows - 1, kStripMaxRows,
+                         kStripMaxRows + 1}) {
+    for (const i32 qlen : {1, 2, tlen - 1, tlen + 1, 300}) {
+      if (qlen < 1) continue;
+      const std::vector<u8> t = random_codes(rng, tlen);
+      check(t, related_query(rng, t, qlen), p, &arena);
+    }
+  }
+}
+
+TEST_F(StripPath, NBasesNeverMatch) {
+  // All-N against all-N is a run of mismatches, never matches; mixed runs
+  // put N on both sides of the strip edge at row 64.
+  const ScoreParams p;
+  check(std::vector<u8>(70, 4), std::vector<u8>(70, 4), p, nullptr);
+  Rng rng(7);
+  std::vector<u8> t = random_codes(rng, 130);
+  for (i32 i = 60; i < 70; ++i) t[static_cast<std::size_t>(i)] = 4;
+  std::vector<u8> q = t;
+  for (i32 i = 0; i < 20; ++i) q[static_cast<std::size_t>(i)] = 4;
+  check(t, q, p, nullptr);
+}
+
+TEST_F(StripPath, Int8BoundaryScores) {
+  // match + q + e == 125 and mismatch up to 125: the widest difference
+  // swing the int8 lanes admit (ScoreParams::fits_int8).
+  Rng rng(11);
+  for (const ScoreParams& p : {ScoreParams{100, 60, 20, 5}, ScoreParams{90, 90, 30, 5},
+                               ScoreParams{61, 125, 50, 14}, ScoreParams::map_pb()}) {
+    ASSERT_TRUE(p.fits_int8());
+    for (const i32 tlen : {64, 65, 200, kStripMaxRows}) {
+      const std::vector<u8> t = random_codes(rng, tlen);
+      check(t, related_query(rng, t, tlen + 3), p, nullptr);
+      check(t, random_codes(rng, 97), p, nullptr);
+    }
+  }
+}
+
+TEST_F(StripPath, PoisonedReusedArenaIsBitExact) {
+  // One arena, poisoned before every shape: the carry rows, dirs and the
+  // padded query copy must all be rewritten before any live lane reads
+  // them, across growth, shrink and aspect-ratio changes.
+  Rng rng(31);
+  detail::KernelArena arena;
+  for (const auto& [tlen, qlen] : std::vector<std::pair<i32, i32>>{
+           {300, 290}, {65, 400}, {129, 17}, {kStripMaxRows, kStripMaxRows}, {1, 50}, {64, 64}}) {
+    const std::vector<u8> t = random_codes(rng, tlen);
+    const std::vector<u8> q = related_query(rng, t, qlen);
+    for (const bool cigar : {false, true}) {
+      DiffArgs a = make_args(t, q, AlignMode::kGlobal, cigar);
+      const AlignResult fresh = detail::strip_kernel()(a);
+      a.arena = &arena;
+      arena.poison(0xA5);
+      expect_same(detail::strip_kernel()(a), fresh, "poisoned");
+      expect_same(detail::strip_kernel()(a), fresh, "reused");
+    }
+  }
+}
+
+TEST(StripRouting, OnlySmallUnbandedGlobalCallsTakeTheStripPath) {
+  const std::vector<u8> t(kStripMaxRows, 0), q(100, 0);
+  DiffArgs a = make_args(t, q, AlignMode::kGlobal, true);
+  EXPECT_TRUE(detail::takes_strip_path(a));
+  DiffArgs b = a;
+  b.tlen = kStripMaxRows + 1;
+  EXPECT_FALSE(detail::takes_strip_path(b));
+  EXPECT_TRUE(detail::strip_kernel_accepts(b));
+  b = a;
+  b.mode = AlignMode::kExtension;
+  EXPECT_FALSE(detail::takes_strip_path(b));
+  b = a;
+  b.band = 16;
+  EXPECT_FALSE(detail::takes_strip_path(b));
+  b = a;
+  b.zdrop = 100;
+  EXPECT_FALSE(detail::takes_strip_path(b));
+  EXPECT_FALSE(kernel_has_strips(get_diff_kernel(Layout::kManymap, Isa::kScalar)));
+  EXPECT_FALSE(kernel_has_strips(get_diff_kernel(Layout::kMinimap2, Isa::kAvx512)));
+  EXPECT_EQ(kernel_has_strips(get_diff_kernel(Layout::kManymap, Isa::kAvx512)),
+            detail::strip_kernel() != nullptr);
 }
 
 }  // namespace
