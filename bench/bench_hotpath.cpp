@@ -202,28 +202,32 @@ void collect(const Workload& w, double min_seconds, std::vector<Row>& rows) {
   }
 }
 
-/// Small global pair rows (mode "score-small" / "path-small"): a gap-fill
-/// sized pair, which the AVX-512BW manymap kernel runs on its
-/// register-resident strip path, so the zero-allocation check covers the
-/// strip path's carry rows as well as the memory kernels.
+/// Small pair rows (mode "score-small" / "path-small", and "ext-" ones for
+/// end extensions): a gap-fill sized pair, which the AVX-512BW manymap
+/// kernel runs on its register-resident strip path in both modes, so the
+/// zero-allocation check covers the strip path's carry rows, border rows
+/// and dirs as well as the memory kernels.
 void collect_small(double min_seconds, std::vector<Row>& rows) {
   const Workload w = make_workload(200);
   for (const Layout layout : {Layout::kMinimap2, Layout::kManymap}) {
     for (const Isa isa : {Isa::kScalar, Isa::kSse2, Isa::kAvx2, Isa::kAvx512}) {
       const KernelFn fn = get_diff_kernel(layout, isa);
       if (fn == nullptr) continue;
-      for (const bool cigar : {false, true}) {
-        DiffArgs a;
-        a.target = w.target.data();
-        a.tlen = static_cast<i32>(w.target.size());
-        a.query = w.query.data();
-        a.qlen = static_cast<i32>(w.query.size());
-        a.mode = AlignMode::kGlobal;
-        a.with_cigar = cigar;
-        Row row = bench_backend("diff", layout, isa, cigar, false, fn, a, min_seconds);
-        row.mode += "-small";
-        row.baseline_ns = 0.0;  // no pre-change baseline for this shape
-        rows.push_back(row);
+      for (const AlignMode mode : {AlignMode::kGlobal, AlignMode::kExtension}) {
+        for (const bool cigar : {false, true}) {
+          DiffArgs a;
+          a.target = w.target.data();
+          a.tlen = static_cast<i32>(w.target.size());
+          a.query = w.query.data();
+          a.qlen = static_cast<i32>(w.query.size());
+          a.mode = mode;
+          a.with_cigar = cigar;
+          Row row = bench_backend("diff", layout, isa, cigar, false, fn, a, min_seconds);
+          if (mode == AlignMode::kExtension) row.mode = "ext-" + row.mode;
+          row.mode += "-small";
+          row.baseline_ns = 0.0;  // no pre-change baseline for this shape
+          rows.push_back(row);
+        }
       }
     }
   }

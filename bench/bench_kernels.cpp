@@ -7,9 +7,9 @@
 // halves of the AVX-512BW manymap kernel on their own — the
 // register-resident strip kernel and the memory kernel, unbanded and with
 // the band auto mode picks for a drift-free n x n gap fill — on n x n
-// global pairs from 16 to 2048 bases through a warm arena, as the mapper
-// calls them. The size where the strip kernel stops beating the memory
-// kernel in path mode backs kStripMaxRows (DESIGN.md §5):
+// pairs from 16 to 2048 bases through a warm arena, as the mapper calls
+// them: global fills in score and path mode, and unbanded end extensions
+// in path mode (`ext-path`). DESIGN.md §5 has the table:
 //   bench_kernels --benchmark_filter=small/ --benchmark_repetitions=5
 #include <benchmark/benchmark.h>
 
@@ -69,8 +69,9 @@ void bench_kernel(benchmark::State& state, Layout layout, Isa isa, bool with_cig
                                                benchmark::Counter::kIsRate);
 }
 
-/// n x n global pair, the query a 15%-substituted copy of the target.
-void bench_small(benchmark::State& state, KernelFn fn, i32 n, i32 band, bool with_cigar) {
+/// n x n pair, the query a 15%-substituted copy of the target.
+void bench_small(benchmark::State& state, KernelFn fn, i32 n, i32 band, AlignMode mode,
+                 bool with_cigar) {
   if (fn == nullptr) {
     state.SkipWithError("AVX-512BW not available");
     return;
@@ -87,7 +88,7 @@ void bench_small(benchmark::State& state, KernelFn fn, i32 n, i32 band, bool wit
   a.tlen = n;
   a.query = query.data();
   a.qlen = n;
-  a.mode = AlignMode::kGlobal;
+  a.mode = mode;
   a.with_cigar = with_cigar;
   a.arena = &arena;
   a.band = band;
@@ -119,14 +120,22 @@ void register_small_sweep() {
                                {"memory", detail::avx512_memory_kernel(), 0}};
     if (auto_band > 0)  // below ~128 auto runs the fill full
       kernels.push_back({"banded", detail::avx512_memory_kernel(), auto_band});
+    struct Mode {
+      const char* name;
+      AlignMode mode;
+      bool cigar;
+    };
     for (const Entry& k : kernels) {
-      for (const bool cigar : {false, true}) {
-        const std::string name = std::string("small/") + k.name + "/" + std::to_string(n) +
-                                 (cigar ? "/path" : "/score");
+      for (const Mode& m : {Mode{"score", AlignMode::kGlobal, false},
+                            Mode{"path", AlignMode::kGlobal, true},
+                            Mode{"ext-path", AlignMode::kExtension, true}}) {
+        if (k.band > 0 && m.mode == AlignMode::kExtension) continue;
+        const std::string name =
+            std::string("small/") + k.name + "/" + std::to_string(n) + "/" + m.name;
         const KernelFn fn = k.fn;
         const i32 band = k.band;
-        benchmark::RegisterBenchmark(name.c_str(), [fn, n, band, cigar](benchmark::State& s) {
-          bench_small(s, fn, n, band, cigar);
+        benchmark::RegisterBenchmark(name.c_str(), [fn, n, band, m](benchmark::State& s) {
+          bench_small(s, fn, n, band, m.mode, m.cigar);
         });
       }
     }

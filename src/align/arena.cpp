@@ -1,6 +1,7 @@
 #include "align/arena.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <type_traits>
@@ -40,7 +41,15 @@ u64 KernelArena::dirs_footprint(i32 tlen, i32 qlen, i32 band) {
     max_row = 2 * static_cast<u64>(band) + 1;
   const u64 full = static_cast<u64>(tlen) * static_cast<u64>(qlen);
   const u64 cells = ndiag * max_row < full ? ndiag * max_row : full;
-  return cells + ndiag * kLanePad;
+  const u64 padded = cells + ndiag * kLanePad;
+  // Unbanded calls may take the strip layout, which exceeds the padded
+  // rows by up to ~4 KiB on small pairs.
+  return band > 0 ? padded : std::max(padded, strip_dirs_bytes(tlen, qlen));
+}
+
+u64 KernelArena::strip_dirs_bytes(i32 tlen, i32 qlen) {
+  const u64 strips = (static_cast<u64>(tlen) + kLanePad - 1) / kLanePad;
+  return strips * strip_dirs_stride(qlen) + kLanePad;
 }
 
 u64 KernelArena::stream_block_bytes(i32 tlen, i32 qlen, i32 block_rows, i32 band) {
@@ -86,8 +95,9 @@ void KernelArena::copy_sequences(const u8* target, i32 tlen, const u8* query, i3
   for (i32 j = 0; j < qlen; ++j) qr[qlen - 1 - j] = query[j];
 }
 
-void KernelArena::reserve_diff(const DiffArgs& a, bool manymap_layout, bool twopiece) {
-  const std::size_t un = row_size(a.tlen);
+void KernelArena::reserve_diff(const DiffArgs& a, bool manymap_layout, bool twopiece,
+                               bool strips) {
+  const std::size_t un = strips ? 0 : row_size(a.tlen);  // strips keep U/Y in registers
   const std::size_t vn = vx_size(a.tlen, a.qlen, manymap_layout);
   const std::size_t tn = row_size(a.tlen);
   // The reversed query is padded on both sides: the strip kernel's query
@@ -97,16 +107,22 @@ void KernelArena::reserve_diff(const DiffArgs& a, bool manymap_layout, bool twop
   // spill sink owns everything else.
   const std::size_t dn =
       !a.with_cigar ? 0
+      : strips      ? static_cast<std::size_t>(strip_dirs_bytes(a.tlen, a.qlen))
       : a.spill != nullptr
           ? static_cast<std::size_t>(
                 stream_block_bytes(a.tlen, a.qlen, a.spill_block_rows, a.band))
           : static_cast<std::size_t>(dirs_footprint(a.tlen, a.qlen, a.band));
-  const std::size_t on =
-      a.with_cigar ? static_cast<std::size_t>(a.tlen) + static_cast<std::size_t>(a.qlen) : 0;
+  const std::size_t on = a.with_cigar && !strips ? static_cast<std::size_t>(a.tlen) +
+                                                         static_cast<std::size_t>(a.qlen)
+                                                   : 0;
+  // Strip border rows: a full-strip store of u at each strip's first row,
+  // and one byte per diagonal of the last strip, kLanePad in.
+  const std::size_t cn = strips ? row_size(a.tlen) : 0;
+  const std::size_t bn = strips ? static_cast<std::size_t>(a.qlen) + 2 * kLanePad : 0;
 
   u64 need = deficit(u_, un) + deficit(y_, un) + deficit(v_, vn) + deficit(x_, vn) +
              deficit(tp_, tn) + deficit(qr_, qn) + deficit(dirs_, dn) +
-             deficit(diag_off_, on);
+             deficit(diag_off_, on) + deficit(last_col_, cn) + deficit(bottom_row_, bn);
   if (twopiece) need += deficit(y2_, un) + deficit(x2_, vn);
   if (need == 0) return;
 
@@ -126,6 +142,8 @@ void KernelArena::reserve_diff(const DiffArgs& a, bool manymap_layout, bool twop
   grow(qr_, qn);
   grow(dirs_, dn);
   grow(diag_off_, on);
+  grow(last_col_, cn);
+  grow(bottom_row_, bn);
 }
 
 DiffWorkspace KernelArena::prepare_diff(const DiffArgs& a, bool manymap_layout) {
@@ -145,6 +163,23 @@ DiffWorkspace KernelArena::prepare_diff(const DiffArgs& a, bool manymap_layout) 
       ws.stream = init_stream(a.tlen, a.qlen, a.spill, a.spill_block_rows, a.band);
     else
       ws.dirs = dirs_.data();
+  }
+  return ws;
+}
+
+DiffWorkspace KernelArena::prepare_strips(const DiffArgs& a) {
+  reserve_diff(a, /*manymap_layout=*/true, /*twopiece=*/false, /*strips=*/true);
+  copy_sequences(a.target, a.tlen, a.query, a.qlen);
+  DiffWorkspace ws;
+  ws.V = v_.data();
+  ws.X = x_.data();
+  ws.tp = tp_.data();
+  ws.qr = qr_.data() + kLanePad;
+  ws.last_col = last_col_.data();
+  ws.bottom_row = bottom_row_.data() + kLanePad;
+  if (a.with_cigar) {  // 64-byte aligned, so every diagonal is one cache line
+    const auto base = reinterpret_cast<std::uintptr_t>(dirs_.data());
+    ws.dirs = dirs_.data() + ((kLanePad - base % kLanePad) % kLanePad);
   }
   return ws;
 }
@@ -197,12 +232,13 @@ DirsStream* KernelArena::init_stream(i32 tlen, i32 qlen, DirsSpill* spill,
 
 u64 KernelArena::reserved_bytes() const {
   return u_.size() + y_.size() + y2_.size() + v_.size() + x_.size() + x2_.size() +
-         tp_.size() + qr_.size() + dirs_.size() + diag_off_.size() * sizeof(u64);
+         last_col_.size() + bottom_row_.size() + tp_.size() + qr_.size() + dirs_.size() +
+         diag_off_.size() * sizeof(u64);
 }
 
 void KernelArena::poison(u8 byte) {
   const i8 sbyte = static_cast<i8>(byte);
-  for (auto* b : {&u_, &y_, &y2_, &v_, &x_, &x2_})
+  for (auto* b : {&u_, &y_, &y2_, &v_, &x_, &x2_, &last_col_, &bottom_row_})
     std::fill(b->begin(), b->end(), sbyte);
   std::fill(tp_.begin(), tp_.end(), byte);
   std::fill(qr_.begin(), qr_.end(), byte);
@@ -214,7 +250,7 @@ void KernelArena::poison(u8 byte) {
 }
 
 void KernelArena::release() {
-  for (auto* b : {&u_, &y_, &y2_, &v_, &x_, &x2_}) {
+  for (auto* b : {&u_, &y_, &y2_, &v_, &x_, &x2_, &last_col_, &bottom_row_}) {
     b->clear();
     b->shrink_to_fit();
   }
@@ -250,7 +286,7 @@ u64 KernelArena::trim(u64 max_bytes) {
                          }});
   };
   add(dirs_);
-  for (auto* b : {&u_, &y_, &y2_, &v_, &x_, &x2_}) add(*b);
+  for (auto* b : {&u_, &y_, &y2_, &v_, &x_, &x2_, &last_col_, &bottom_row_}) add(*b);
   add(tp_);
   add(qr_);
   std::sort(victims.begin(), victims.end(),

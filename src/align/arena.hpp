@@ -21,7 +21,8 @@
 // (kLanePad): diag_off[r+1] - diag_off[r] = row_len(r) + kLanePad, so the
 // SIMD kernels emit direction bytes with direct unaligned vector stores
 // instead of a stack-buffer bounce + memcpy per chunk. The pad of row r
-// absorbs the overrun; row r+1 starts after it.
+// absorbs the overrun; row r+1 starts after it. The AVX-512BW strip kernel
+// lays dirs out strip-major instead (prepare_strips, strip_dirs_bytes).
 //
 // Growth is the ONLY allocation path and reports its true byte footprint
 // through check_dp_alloc ("align.dp.alloc" fault site), so allocation
@@ -101,6 +102,10 @@ struct DiffWorkspace {
   u8* dirs = nullptr;        ///< per-cell direction bytes (resident path mode)
   const u64* diag_off = nullptr;  ///< dirs offset of each padded diagonal row
   DirsStream* stream = nullptr;   ///< non-null in streaming path mode
+  /// Strip kernel only (prepare_strips): u(i, |Q|-1) by target row i, and
+  /// v(|T|-1, ·) by diagonal of the last strip (kLanePad into its buffer).
+  i8* last_col = nullptr;
+  i8* bottom_row = nullptr;
 };
 
 /// Two-piece analogue: two difference rows per gap direction.
@@ -129,6 +134,10 @@ class KernelArena {
   /// allocation path; reports through check_dp_alloc) and refreshes the
   /// sequence copies; everything else is reused dirty.
   DiffWorkspace prepare_diff(const DiffArgs& a, bool manymap_layout);
+  /// The strip kernel's workspace: the manymap V/X rows (its carry rows),
+  /// the sequence copies, the two border rows and, in path mode, the
+  /// strip-major dirs area (strip_dirs_bytes; no diag_off table).
+  DiffWorkspace prepare_strips(const DiffArgs& a);
   TwoPieceWorkspace prepare_twopiece(const TwoPieceArgs& a, bool manymap_layout);
 
   /// Number of buffer growth events since construction (0 in steady state).
@@ -148,14 +157,19 @@ class KernelArena {
   /// The next call simply re-grows; results stay bit-exact.
   u64 trim(u64 max_bytes);
 
-  /// Total dirs bytes of the padded-row layout for a tlen × qlen pair:
-  /// tlen·qlen cells + (tlen+qlen-1)·kLanePad pad. This is the resident
-  /// cost of a path-mode alignment without streaming, and the basis for
-  /// the service's per-request footprint estimates. band > 0 bounds each
-  /// row at the 2·band+1 static band width, shrinking the footprint from
+  /// Resident dirs bytes of a path-mode alignment without streaming, and
+  /// the basis for the service's per-request footprint estimates. The
+  /// padded-row layout takes tlen·qlen cells + (tlen+qlen-1)·kLanePad pad;
+  /// unbanded calls may run on the strip layout instead (strip_dirs_bytes),
+  /// so band <= 0 returns the larger of the two. band > 0 bounds each row
+  /// at the 2·band+1 static band width, shrinking the footprint from
   /// O(|T|·|Q|) to O(band·(|T|+|Q|)) (a slight over-estimate: the banded
   /// layout's exact row widths are what refresh_diag_off computes).
   static u64 dirs_footprint(i32 tlen, i32 qlen, i32 band = 0);
+  /// Dirs bytes of the strip kernel's strip-major layout: ⌈tlen/64⌉ strips
+  /// of (qlen+63) diagonals × 64 lanes, plus kLanePad so the area can start
+  /// on a 64-byte boundary.
+  static u64 strip_dirs_bytes(i32 tlen, i32 qlen);
   /// Resident dirs block bytes a streaming path-mode call reserves
   /// (block_rows = 0 picks the ~8 MiB default; clamped to the full
   /// footprint, floored at one padded row — a banded row for band > 0).
@@ -172,7 +186,8 @@ class KernelArena {
   /// Grow sequence/DP/dirs buffers to the requested sizes, charging the
   /// true footprint of every grown buffer to check_dp_alloc first (so an
   /// injected failure leaves the arena unchanged).
-  void reserve_diff(const DiffArgs& a, bool manymap_layout, bool twopiece);
+  void reserve_diff(const DiffArgs& a, bool manymap_layout, bool twopiece,
+                    bool strips = false);
   void copy_sequences(const u8* target, i32 tlen, const u8* query, i32 qlen);
 
   template <class T>
@@ -188,6 +203,7 @@ class KernelArena {
   }
 
   std::vector<i8> u_, y_, y2_, v_, x_, x2_;
+  std::vector<i8> last_col_, bottom_row_;  ///< strip kernel border rows
   std::vector<u8> tp_, qr_, dirs_;
   std::vector<u64> diag_off_;
   i32 off_tlen_ = -1, off_qlen_ = -1, off_band_ = -1;  ///< cached diag_off key

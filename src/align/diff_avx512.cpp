@@ -62,7 +62,7 @@ AlignResult align_avx512_manymap_memory(const DiffArgs& a) {
   return simd_align<VecAvx512, true>(a);
 }
 AlignResult align_avx512_manymap(const DiffArgs& a) {
-  return takes_strip_path(a) ? align_avx512_strips(a) : align_avx512_manymap_memory(a);
+  return strip_kernel_accepts(a) ? align_avx512_strips(a) : align_avx512_manymap_memory(a);
 }
 
 }  // namespace detail

@@ -32,6 +32,12 @@ namespace detail {
 /// Padding so vector kernels may overrun diagonal ends harmlessly.
 inline constexpr i32 kLanePad = 64;
 
+/// Strip-major dirs of the AVX-512BW strip kernel: bytes from one 64-row
+/// strip's direction rows to the next, (|Q|+63) diagonals of 64 lanes.
+inline u64 strip_dirs_stride(i32 qlen) {
+  return (static_cast<u64>(qlen) + kLanePad - 1) * kLanePad;
+}
+
 inline i32 diag_start(i32 r, i32 qlen) { return r >= qlen ? r - qlen + 1 : 0; }
 inline i32 diag_end(i32 r, i32 tlen) { return r < tlen ? r : tlen - 1; }
 

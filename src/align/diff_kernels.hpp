@@ -29,23 +29,17 @@ AlignResult align_avx2_manymap(const DiffArgs& a);
 #endif
 #if MANYMAP_HAVE_AVX512_KERNELS
 AlignResult align_avx512_mm2(const DiffArgs& a);
-/// Sends the calls takes_strip_path picks to align_avx512_strips and the
-/// rest to align_avx512_manymap_memory.
+/// Sends the calls strip_kernel_accepts to align_avx512_strips and the
+/// rest (banded, zdrop, streamed dirs) to align_avx512_manymap_memory.
 AlignResult align_avx512_manymap(const DiffArgs& a);
 AlignResult align_avx512_manymap_memory(const DiffArgs& a);
 AlignResult align_avx512_strips(const DiffArgs& a);
 #endif
 
-/// Calls the strip kernel computes: unbanded global DP without dirs
-/// streaming, at any target length.
+/// Calls the strip kernel computes: unbanded DP without zdrop or dirs
+/// streaming, global or extension, at any size.
 inline bool strip_kernel_accepts(const DiffArgs& a) {
-  return a.mode == AlignMode::kGlobal && a.band == 0 && a.zdrop == 0 &&
-         a.spill == nullptr;
-}
-
-/// Calls the AVX-512BW manymap kernel sends to the strip kernel.
-inline bool takes_strip_path(const DiffArgs& a) {
-  return strip_kernel_accepts(a) && a.tlen <= kStripMaxRows;
+  return a.band == 0 && a.zdrop == 0 && a.spill == nullptr;
 }
 
 /// The two halves of the AVX-512BW manymap kernel on their own, without

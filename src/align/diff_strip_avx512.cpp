@@ -1,11 +1,11 @@
-// Register-resident strip kernel (AVX-512BW) for small global DP segments.
+// Register-resident strip kernel (AVX-512BW) for unbanded DP calls.
 //
 // The memory kernel (diff_simd_impl.hpp) sweeps whole anti-diagonals and
-// round-trips U/Y/V/X through memory on every one; for the short gap fills
-// between chain anchors that round trip, not the arithmetic, sets the cost
-// (~20-45 ns per diagonal up to 512 lanes). Here the target is cut into
-// 64-row strips, one zmm byte lane per target row, and each strip sweeps
-// its own anti-diagonals with U/Y/V/X held in registers:
+// round-trips U/Y/V/X through memory on every one; that round trip, not
+// the arithmetic, sets its cost (~20-45 ns per diagonal up to 512 lanes).
+// Here the target is cut into 64-row strips, one zmm byte lane per target
+// row, and each strip sweeps its own anti-diagonals with U/Y/V/X held in
+// registers:
 //
 //  - U/Y (indexed by row) stay in their lane from one diagonal to the
 //    next. A lane is live from its first column to its last; merge-masked
@@ -18,22 +18,31 @@
 //    strip. That is the only state crossing strips: 2 bytes per diagonal,
 //    written 64 diagonals before the next strip reads them, so one row
 //    serves in place. The carry rows are the arena's V/X rows.
-//  - Direction bytes go with masked stores straight into the arena's
-//    padded-row dirs layout (diag_off), so backtrack_ws runs unchanged.
+//  - Direction bytes are strip-major: strip s owns (|Q|+63) 64-byte rows
+//    from dirs + s·(|Q|+63)·64, and diagonal d of the strip is one aligned
+//    64-byte store at row d. Lane l of row d is cell (64s+l, d-l), so
+//    backtrack reads cell (i, j) at s·stride + ((i&63)+j)·64 + (i&63).
+//
+// Scores. Each strip's frozen U lanes are u(i, |Q|-1); they go to the
+// arena's last-column row. In extension mode the last strip also saves
+// v(|T|-1, j) from lane |T|-1-s0, one masked byte per diagonal. H then
+// telescopes along both borders from the boundary column/row:
+//   H(i, |Q|-1) = H(-1, |Q|-1) + Σ_{k<=i} u(k, |Q|-1)
+//   H(|T|-1, j) = H(|T|-1, -1) + Σ_{k<=j} v(|T|-1, k)
+// One O(|T|+|Q|) pass offers these to BestCell in diagonal order, bottom-
+// row candidate first, as BorderTracker does. Global mode needs only the
+// corner, the sum down the last column.
 //
 // Exactness: every lane computes the memory kernel's values. The only
 // rewrite is x' = max(a-z, -q) - e in place of max(a-z+q, 0) - q - e (and
-// y' alike), which is equal because a <= z and q + e <= 125 keep every
-// intermediate in range; the extension bit a-z+q > 0 is a-z > -q. So U/V/
-// X/Y and the direction bytes are identical, and so is the CIGAR, tie-
-// breaks included. The global score telescopes down the last column,
-// H(|T|-1,|Q|-1) = H(-1,|Q|-1) + Σ_i u(i,|Q|-1), from the frozen U lanes
-// of each strip; the differences are exact under fits_int8, so it equals
-// the memory kernel's bottom-border sum.
+// y' alike), which is equal because a <= z and fits_int8 keeps every
+// intermediate in range; the extension bit a-z+q > 0 is a-z > -q. So
+// U/V/X/Y and the direction bytes are identical, the border sums are the
+// memory kernel's H values, and score, end cell and CIGAR match it, tie-
+// breaks included.
 //
-// Only unbanded global calls without dirs streaming come here
-// (strip_kernel_accepts), and align_avx512_manymap routes only those with
-// |T| <= kStripMaxRows. DESIGN.md §5 has the measured crossover.
+// align_avx512_manymap sends every call strip_kernel_accepts here: no
+// band, no zdrop, no dirs streaming, any mode and size (DESIGN.md §5).
 #include <immintrin.h>
 
 #include <cstring>
@@ -56,31 +65,22 @@ inline msk lane_range(i32 lo, i32 hi) {
   return (~u64{0} << lo) & (~u64{0} >> (63 - hi));
 }
 
-/// Sum of the signed bytes of `v` (once per strip, so a plain store).
-inline i64 sum_i8(vec v) {
-  const vec biased = _mm512_xor_si512(v, _mm512_set1_epi8(static_cast<char>(0x80)));
-  alignas(64) u64 sums[8];
-  _mm512_store_si512(sums, _mm512_sad_epu8(biased, _mm512_setzero_si512()));
-  u64 total = 0;
-  for (const u64 x : sums) total += x;
-  return static_cast<i64>(total) - 128 * kStripRows;
-}
-
-template <bool kPath>
+template <bool kPath, bool kExt>
 AlignResult strip_align(const DiffArgs& a) {
   AlignResult out;
   if (handle_degenerate(a, out)) return out;
   MM_REQUIRE(a.params.fits_int8(), "scores too large for int8 difference kernels");
-  MM_REQUIRE(strip_kernel_accepts(a), "strip kernel takes only unbanded global calls");
+  MM_REQUIRE(strip_kernel_accepts(a), "strip kernel takes only unbanded, unstreamed calls");
 
   KernelArena local;
   KernelArena& arena = a.arena != nullptr ? *a.arena : local;
-  const DiffWorkspace ws = arena.prepare_diff(a, /*manymap_layout=*/true);
+  const DiffWorkspace ws = arena.prepare_strips(a);
   const i32 tlen = a.tlen, qlen = a.qlen;
   const i32 q = a.params.gap_open, e = a.params.gap_ext;
   const i8 init_first = static_cast<i8>(-(q + e));
   const i8 init_rest = static_cast<i8>(-e);
   const i8 init_xy = static_cast<i8>(-(q + e));
+  const u64 stride = strip_dirs_stride(qlen);
 
   // Carry rows by query column, kLanePad into the V/X rows so the load
   // whose last byte is column d always starts inside them. Before the
@@ -111,14 +111,15 @@ AlignResult strip_align(const DiffArgs& a) {
   // Query lane l of diagonal d reads Q[d - l] = qr[qlen-1-d+l]; the arena
   // pads qr by kLanePad on both sides, covering d up to qlen + 63.
   const u8* qr_last = ws.qr + (qlen - 1);
-  i64 last_col = 0;  // Σ u(i, qlen-1) over the rows done so far
+  // Lane of the bottom row |T|-1 in the last strip.
+  const i32 bottom_lane = (tlen - 1) % kStripRows;
 
   for (i32 s0 = 0; s0 < tlen; s0 += kStripRows) {
     const i32 nrows = std::min(kStripRows, tlen - s0);
-    const msk rows = lane_range(0, nrows - 1);
     const bool carry_out = s0 + kStripRows < tlen;
     const vec tv = _mm512_loadu_si512(ws.tp + s0);
     const msk t_acgt = _mm512_cmpgt_epi8_mask(four_v, tv);
+    [[maybe_unused]] u8* const dirs = kPath ? ws.dirs + (s0 / kStripRows) * stride : nullptr;
 
     vec U = _mm512_set1_epi8(init_rest);  // u(i, -1)
     if (s0 == 0) U = _mm512_mask_mov_epi8(U, 1, _mm512_set1_epi8(init_first));
@@ -147,9 +148,6 @@ AlignResult strip_align(const DiffArgs& a) {
       const vec sa = _mm512_subs_epi8(aa, z);
       const vec sb = _mm512_subs_epi8(bb, z);
 
-      // Live lanes have a cell on this diagonal: started (l <= d) and not
-      // past the last column (l >= d - qlen + 1).
-      const msk live = lane_range(std::max(0, d - qlen + 1), std::min(kStripRows - 1, d));
       if constexpr (kPath) {
         const msk m1 = _mm512_cmpgt_epi8_mask(aa, sc);
         const msk m2 = _mm512_cmpgt_epi8_mask(bb, _mm512_max_epi8(sc, aa));
@@ -157,37 +155,74 @@ AlignResult strip_align(const DiffArgs& a) {
         // The extension bits are clear so far, so a masked add sets them.
         dir = _mm512_mask_add_epi8(dir, _mm512_cmpgt_epi8_mask(sa, neg_q_v), dir, ext_del_v);
         dir = _mm512_mask_add_epi8(dir, _mm512_cmpgt_epi8_mask(sb, neg_q_v), dir, ext_ins_v);
-        // Lane l is cell t = s0 + l, at offset t - st in its row; lanes
-        // below the row start are masked, so the base may sit up to 63
-        // bytes into the previous row's pad.
-        const i32 r = s0 + d;
-        u8* row = ws.dirs + ws.diag_off[static_cast<std::size_t>(r)];
-        _mm512_mask_storeu_epi8(row + (s0 - diag_start(r, qlen)), live & rows, dir);
+        // Every lane: bytes of cells off the matrix are never read back.
+        _mm512_store_si512(dirs + static_cast<u64>(d) * kStripRows, dir);
       }
+      // Live lanes have a cell on this diagonal: started (l <= d) and not
+      // past the last column (l >= d - qlen + 1).
+      const msk live = lane_range(std::max(0, d - qlen + 1), std::min(kStripRows - 1, d));
       V = _mm512_subs_epi8(z, U);
       X = _mm512_adds_epi8(_mm512_max_epi8(sa, neg_q_v), neg_e_v);
       U = _mm512_mask_subs_epi8(U, live, z, vt);
       Y = _mm512_mask_adds_epi8(Y, live, _mm512_max_epi8(sb, neg_q_v), neg_e_v);
+      // Bottom row: lane bottom_lane of diagonal d is v(|T|-1, d -
+      // bottom_lane), saved at bottom_row[d].
+      if (kExt && !carry_out)
+        _mm512_mask_storeu_epi8(ws.bottom_row + (d - bottom_lane), msk{1} << bottom_lane, V);
     }
     if (carry_out) {  // the last row's final column (qlen - 1)
       _mm512_mask_storeu_epi8(carry_v + (qlen - kStripRows), kLane63, V);
       _mm512_mask_storeu_epi8(carry_x + (qlen - kStripRows), kLane63, X);
     }
-    last_col += sum_i8(_mm512_maskz_mov_epi8(rows, U));
+    _mm512_storeu_si512(ws.last_col + s0, U);
   }
 
   out.cells = static_cast<u64>(tlen) * static_cast<u64>(qlen);
-  out.score = -(static_cast<i64>(q) + static_cast<i64>(qlen) * e) + last_col;
-  out.t_end = tlen - 1;
-  out.q_end = qlen - 1;
-  if constexpr (kPath) out.cigar = backtrack_ws(ws, tlen, qlen, out.t_end, out.q_end);
+  i64 h_last = -(static_cast<i64>(q) + static_cast<i64>(qlen) * e);  // H(-1, |Q|-1)
+  if constexpr (kExt) {
+    BestCell best;
+    i64 h_bottom = -(static_cast<i64>(q) + static_cast<i64>(tlen) * e);  // H(|T|-1, -1)
+    const i8* v_bottom = ws.bottom_row + bottom_lane;  // by column
+    for (i32 r = 0; r < tlen + qlen - 1; ++r) {
+      if (r >= tlen - 1) {
+        const i32 j = r - (tlen - 1);
+        h_bottom += v_bottom[j];
+        best.offer(h_bottom, tlen - 1, j);
+      }
+      if (r >= qlen - 1) {
+        const i32 i = r - (qlen - 1);
+        h_last += ws.last_col[i];
+        best.offer(h_last, i, qlen - 1);
+      }
+    }
+    out.score = best.score;
+    out.t_end = best.i;
+    out.q_end = best.j;
+  } else {
+    for (i32 i = 0; i < tlen; ++i) h_last += ws.last_col[i];
+    out.score = h_last;
+    out.t_end = tlen - 1;
+    out.q_end = qlen - 1;
+  }
+  if constexpr (kPath) {
+    const u8* dirs = ws.dirs;
+    out.cigar = backtrack_cells(
+        [dirs, stride](i32 i, i32 j) -> u8 {
+          const i32 l = i % kStripRows;
+          return dirs[static_cast<u64>(i / kStripRows) * stride +
+                      static_cast<u64>(l + j) * kStripRows + static_cast<u64>(l)];
+        },
+        out.t_end, out.q_end);
+  }
   return out;
 }
 
 }  // namespace
 
 AlignResult align_avx512_strips(const DiffArgs& a) {
-  return a.with_cigar ? strip_align<true>(a) : strip_align<false>(a);
+  if (a.mode == AlignMode::kExtension)
+    return a.with_cigar ? strip_align<true, true>(a) : strip_align<false, true>(a);
+  return a.with_cigar ? strip_align<true, false>(a) : strip_align<false, false>(a);
 }
 
 }  // namespace detail

@@ -112,14 +112,15 @@ using KernelFn = AlignResult (*)(const DiffArgs&);
 /// supported by this CPU.
 KernelFn get_diff_kernel(Layout layout, Isa isa);
 
-/// Longest target the AVX-512BW manymap kernel hands to its
-/// register-resident strip path (align/diff_strip_avx512.cpp), set at the
-/// measured strip/memory-kernel crossover (DESIGN.md §5).
+/// Auto-band policy cut, not a kernel limit: with a strip kernel, auto
+/// mode runs global fills with |T| <= kStripMaxRows unbanded
+/// (Mapper::run_kernel), since one strip pass costs less than a band plus
+/// the reruns noisy fills of that size take (DESIGN.md §5).
 inline constexpr i32 kStripMaxRows = 1024;
 
-/// True when `kernel` (a get_diff_kernel result) runs unbanded global
-/// calls with |T| <= kStripMaxRows on the strip path. Only the AVX-512BW
-/// manymap kernel does.
+/// True when `kernel` (a get_diff_kernel result) runs every unbanded call
+/// without zdrop or dirs streaming on the register-resident strip path
+/// (align/diff_strip_avx512.cpp). Only the AVX-512BW manymap kernel does.
 bool kernel_has_strips(KernelFn kernel);
 
 /// ISAs usable on this machine (always contains kScalar and kSse2 on

@@ -29,15 +29,19 @@ struct ScoreParams {
   /// True if every value the int8 difference kernels store or stream
   /// through a signed 8-bit lane is representable. The Suzuki–Kasahara
   /// bound puts the stored differences at u,v in [-(q+e), match+q+e] and
-  /// x,y in [-(q+e), -e], so the binding constraint is match + q + e (the
-  /// u/v swing when a long gap closes into a match run), NOT
-  /// max(match, q+e) as an earlier revision assumed — that admitted
-  /// parameter sets (e.g. match=100, q=40, e=10) whose lanes wrapped in
-  /// the scalar kernels while the SIMD kernels saturated, silently
-  /// diverging on long high-identity extensions. A small margin below 127
-  /// keeps saturating and exact arithmetic identical.
+  /// x,y in [-(q+e), -e], so two constraints bind:
+  ///  - match + q + e (the u/v swing when a long gap closes into a match
+  ///    run), NOT max(match, q+e) as an earlier revision assumed — that
+  ///    admitted parameter sets (e.g. match=100, q=40, e=10) whose lanes
+  ///    wrapped in the scalar kernels while the SIMD kernels saturated;
+  ///  - q + e <= 64, since the intermediate sums x+v and y+u reach
+  ///    -2(q+e), which must not fall below -128 (q=100, e=24 saturated
+  ///    there and every SIMD kernel lost the optimum).
+  /// A small margin below 127 keeps saturating and exact arithmetic
+  /// identical.
   bool fits_int8() const {
-    return match + gap_open + gap_ext <= 125 && mismatch <= 125;
+    return match + gap_open + gap_ext <= 125 && gap_open + gap_ext <= 64 &&
+           mismatch <= 125;
   }
 };
 

@@ -37,9 +37,12 @@ struct TwoPieceParams {
   /// int8 difference-lane contract, mirroring ScoreParams::fits_int8: each
   /// gap piece k keeps xk,yk in [-(qk+ek), -ek] and u,v swing up to
   /// match + max(qk+ek), which must stay below the int8 saturation point.
+  /// u,v fall no lower than -gap_cost(1) = -min(qk+ek), so the sums xk+v
+  /// and yk+u reach -(qk+ek) - min(qk+ek); p1 + p2 <= 128 keeps both
+  /// pieces' sums at or above -128 (q1+e1=64, q2+e2=100 saturated there).
   bool fits_int8() const {
     const i32 p1 = gap_open1 + gap_ext1, p2 = gap_open2 + gap_ext2;
-    return match + (p1 > p2 ? p1 : p2) <= 125 && mismatch <= 125;
+    return match + (p1 > p2 ? p1 : p2) <= 125 && p1 + p2 <= 128 && mismatch <= 125;
   }
   static TwoPieceParams map_pb() { return TwoPieceParams{2, 5, 4, 2, 24, 1}; }
 };

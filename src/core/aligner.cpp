@@ -6,13 +6,14 @@
 namespace manymap {
 
 Aligner::BatchResult Aligner::map_reads(std::vector<Sequence> reads, PipelineKind pipeline,
-                                        u32 compute_threads, u64 batch_bases) const {
+                                        u32 compute_threads, u64 batch_bases,
+                                        bool with_cigar) const {
   BatchResult result;
   auto batches = make_batches(std::move(reads), batch_bases);
   auto source = vector_source(std::move(batches));
 
-  ComputeFn compute = [this](const Sequence& read) {
-    return to_paf_block(mapper_.map(read));
+  ComputeFn compute = [this, with_cigar](const Sequence& read) {
+    return to_paf_block(mapper_.map(read), with_cigar);
   };
   std::mutex out_mu;
   std::map<u64, std::string> chunks;

@@ -29,13 +29,18 @@ class Aligner {
   }
 
   struct BatchResult {
-    std::string paf;  ///< PAF lines for all reads, input order
+    std::string paf;  ///< PAF lines for all reads, in batch order; the
+                      ///< manymap pipeline emits each batch longest-first
     PipelineStats stats;
   };
 
+  static constexpr u64 kDefaultBatchBases = 2'000'000;
+
   /// Map many reads through one of the two pipeline architectures.
+  /// `with_cigar` adds the cg:Z tag to every PAF line, as the serial path
+  /// does (to_paf_block).
   BatchResult map_reads(std::vector<Sequence> reads, PipelineKind pipeline, u32 compute_threads,
-                        u64 batch_bases = 2'000'000) const;
+                        u64 batch_bases = kDefaultBatchBases, bool with_cigar = false) const;
 
   const Mapper& mapper() const { return mapper_; }
 

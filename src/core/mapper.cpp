@@ -1,8 +1,6 @@
 #include "core/mapper.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 #include "align/arena.hpp"
 #include "align/banded.hpp"
@@ -172,9 +170,9 @@ std::vector<Mapping> Mapper::map(const Sequence& read, const MapCall& call) cons
     a.with_cigar = with_cigar;
     a.arena = &arena;
     if (band_mode == BandMode::kAuto) {
-      // Global fills the strip path covers run unbanded: a strip pass
-      // costs less than the memory kernel, and than a band on the noisy
-      // fills that reach the cut (DESIGN.md §5). The unbanded answer is
+      // Global fills up to kStripMaxRows run unbanded on a strip kernel:
+      // a strip pass costs less than a band on the noisy fills of that
+      // size, which often rerun (DESIGN.md §5). The unbanded answer is
       // the one a band-hit rerun would give anyway.
       a.band = strip_fills && mode == AlignMode::kGlobal && a.tlen <= kStripMaxRows
                    ? 0
@@ -232,9 +230,6 @@ std::vector<Mapping> Mapper::map(const Sequence& read, const MapCall& call) cons
       }
       if (retry_full) {
         ++band_fallbacks;
-        if (std::getenv("MM_BAND_DEBUG"))
-          std::fprintf(stderr, "[band-fallback] mode=%d tlen=%d qlen=%d band=%d\n",
-                       static_cast<int>(mode), a.tlen, a.qlen, band_hint);
         a.band = 0;
         a.zdrop = 0;
         configure_spill();

@@ -37,6 +37,7 @@ const ScoreParams kDiffParamsPool[] = {
 const ScoreParams kDiffBoundaryParams[] = {
     ScoreParams{100, 60, 20, 5},   // match + q + e == 125 (int8 bound)
     ScoreParams{90, 90, 30, 5},    // mismatch-heavy near the bound
+    ScoreParams{1, 125, 40, 24},   // q + e == 64: x + v reaches -128
 };
 const TwoPieceParams kTwoPieceParamsPool[] = {
     TwoPieceParams{},                    // minimap2 map-pb style defaults
@@ -45,10 +46,11 @@ const TwoPieceParams kTwoPieceParamsPool[] = {
 };
 const TwoPieceParams kTwoPieceBoundaryParams[] = {
     TwoPieceParams{90, 80, 20, 15, 34, 1},  // match + max(qk+ek) == 125
+    TwoPieceParams{1, 125, 30, 10, 80, 8},  // (q1+e1) + (q2+e2) == 128
 };
 
-// Chunk and strip edges (multiples of 16/32/64 lanes), then the cut where
-// the AVX-512BW manymap kernel leaves its strip path for the memory kernel.
+// Chunk and strip edges (multiples of 16/32/64 lanes), then kStripMaxRows,
+// where the auto-band policy stops running global fills unbanded.
 const i32 kBoundaryLengths[] = {1,   2,   3,   7,   8,   9,   15,  16,  17,
                                 31,  32,  33,  63,  64,  65,  95,  96,  97,
                                 127, 128, 129, 255, 256, 257, kStripMaxRows - 1,

@@ -7,6 +7,7 @@
 #include "align/cigar.hpp"
 #include "align/diff_common.hpp"
 #include "align/diff_kernels.hpp"
+#include "align/dirs_spill.hpp"
 #include "align/kernel_api.hpp"
 #include "align/reference_dp.hpp"
 #include "base/random.hpp"
@@ -233,9 +234,9 @@ TEST(DiffBound, DifferencesStayWithinSuzukiKasaharaBound) {
 }
 
 // Strip path (align/diff_strip_avx512.cpp): the register-resident kernel
-// for small global fills must equal the reference DP and the AVX-512
-// memory kernel on score, end cell and CIGAR, on both sides of every
-// 64-row strip edge and of the kStripMaxRows routing cut.
+// takes every unbanded, unstreamed call, global and extension. It must
+// equal the reference DP and the AVX-512 memory kernel on score, end cell
+// and CIGAR, on both sides of every 64-row strip edge, at any size.
 class StripPath : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -275,14 +276,18 @@ class StripPath : public ::testing::Test {
   }
 
   /// Strip kernel, routed AVX-512 manymap kernel and memory kernel all
-  /// equal the reference DP, in score and path mode.
-  static void check(const std::vector<u8>& t, const std::vector<u8>& q,
-                    const ScoreParams& p, detail::KernelArena* arena) {
+  /// equal the reference DP, in score and path mode. Returns the
+  /// reference's path-mode result.
+  static AlignResult check(const std::vector<u8>& t, const std::vector<u8>& q,
+                           const ScoreParams& p, detail::KernelArena* arena,
+                           AlignMode mode = AlignMode::kGlobal) {
+    AlignResult want;
     for (const bool cigar : {false, true}) {
-      DiffArgs a = make_args(t, q, AlignMode::kGlobal, cigar, p);
-      const AlignResult want = reference_align(a);
+      DiffArgs a = make_args(t, q, mode, cigar, p);
+      want = reference_align(a);
       a.arena = arena;
-      const std::string what = "tlen=" + std::to_string(t.size()) +
+      const std::string what = std::string(to_string(mode)) +
+                               " tlen=" + std::to_string(t.size()) +
                                " qlen=" + std::to_string(q.size()) +
                                (cigar ? " path" : " score");
       expect_same(detail::strip_kernel()(a), want, "strip " + what);
@@ -290,20 +295,63 @@ class StripPath : public ::testing::Test {
                   "routed " + what);
       expect_same(detail::avx512_memory_kernel()(a), want, "memory " + what);
     }
+    return want;
   }
 };
 
 TEST_F(StripPath, MatchesReferenceAcrossStripEdgesAndTheCut) {
   Rng rng(2024);
-  const ScoreParams p;
+  const ScoreParams p = ScoreParams::map_pb();
   detail::KernelArena arena;
   for (const i32 tlen : {1, 63, 64, 65, 127, 128, 129, kStripMaxRows - 1, kStripMaxRows,
-                         kStripMaxRows + 1}) {
+                         kStripMaxRows + 1, 2064}) {
     for (const i32 qlen : {1, 2, tlen - 1, tlen + 1, 300}) {
       if (qlen < 1) continue;
       const std::vector<u8> t = random_codes(rng, tlen);
-      check(t, related_query(rng, t, qlen), p, &arena);
+      const std::vector<u8> q = related_query(rng, t, qlen);
+      for (const AlignMode mode : {AlignMode::kGlobal, AlignMode::kExtension})
+        check(t, q, p, &arena, mode);
     }
+  }
+}
+
+TEST_F(StripPath, ExtensionBestCellOnEitherBorder) {
+  Rng rng(77);
+  const ScoreParams p;
+  // Target a prefix of the query: the best cell is on the bottom row,
+  // short of the last column.
+  const std::vector<u8> q = random_codes(rng, 300);
+  const std::vector<u8> t(q.begin(), q.begin() + 130);
+  const AlignResult bottom = check(t, q, p, nullptr, AlignMode::kExtension);
+  EXPECT_EQ(bottom.t_end, 129);
+  EXPECT_LT(bottom.q_end, 299);
+  // Query a prefix of the target: on the last column, above the bottom row.
+  const AlignResult last = check(q, t, p, nullptr, AlignMode::kExtension);
+  EXPECT_EQ(last.q_end, 129);
+  EXPECT_LT(last.t_end, 299);
+  // Every cell of an all-N square scores the same on the bottom row and
+  // the last column of its diagonal: the bottom-row candidate wins ties.
+  const AlignResult tie =
+      check(std::vector<u8>(100, 4), std::vector<u8>(100, 4), p, nullptr,
+            AlignMode::kExtension);
+  EXPECT_EQ(tie.t_end, 99);
+  // An exact square ends at the corner.
+  const std::vector<u8> sq = random_codes(rng, 129);
+  const AlignResult corner = check(sq, sq, p, nullptr, AlignMode::kExtension);
+  EXPECT_EQ(corner.t_end, 128);
+  EXPECT_EQ(corner.q_end, 128);
+}
+
+TEST_F(StripPath, TallAndWidePairs) {
+  Rng rng(5);
+  const ScoreParams p = ScoreParams::map_ont();
+  detail::KernelArena arena;
+  for (const auto& [tlen, qlen] :
+       std::vector<std::pair<i32, i32>>{{2064, 65}, {65, 2064}, {1500, 3}, {3, 1500}}) {
+    const std::vector<u8> t = random_codes(rng, tlen);
+    const std::vector<u8> q = random_codes(rng, qlen);
+    for (const AlignMode mode : {AlignMode::kGlobal, AlignMode::kExtension})
+      check(t, q, p, &arena, mode);
   }
 }
 
@@ -318,61 +366,91 @@ TEST_F(StripPath, NBasesNeverMatch) {
   std::vector<u8> q = t;
   for (i32 i = 0; i < 20; ++i) q[static_cast<std::size_t>(i)] = 4;
   check(t, q, p, nullptr);
+  check(t, q, p, nullptr, AlignMode::kExtension);
 }
 
 TEST_F(StripPath, Int8BoundaryScores) {
-  // match + q + e == 125 and mismatch up to 125: the widest difference
-  // swing the int8 lanes admit (ScoreParams::fits_int8).
+  // match + q + e == 125, q + e == 64 and mismatch up to 125: the widest
+  // difference swings the int8 lanes admit (ScoreParams::fits_int8).
   Rng rng(11);
   for (const ScoreParams& p : {ScoreParams{100, 60, 20, 5}, ScoreParams{90, 90, 30, 5},
-                               ScoreParams{61, 125, 50, 14}, ScoreParams::map_pb()}) {
+                               ScoreParams{61, 125, 50, 14}, ScoreParams{1, 125, 40, 24},
+                               ScoreParams::map_pb()}) {
     ASSERT_TRUE(p.fits_int8());
     for (const i32 tlen : {64, 65, 200, kStripMaxRows}) {
       const std::vector<u8> t = random_codes(rng, tlen);
-      check(t, related_query(rng, t, tlen + 3), p, nullptr);
-      check(t, random_codes(rng, 97), p, nullptr);
+      for (const AlignMode mode : {AlignMode::kGlobal, AlignMode::kExtension}) {
+        check(t, related_query(rng, t, tlen + 3), p, nullptr, mode);
+        check(t, random_codes(rng, 97), p, nullptr, mode);
+      }
     }
   }
 }
 
 TEST_F(StripPath, PoisonedReusedArenaIsBitExact) {
-  // One arena, poisoned before every shape: the carry rows, dirs and the
-  // padded query copy must all be rewritten before any live lane reads
-  // them, across growth, shrink and aspect-ratio changes.
+  // One arena, poisoned before every shape: the carry rows, border rows,
+  // dirs and the padded query copy must all be rewritten before any live
+  // lane reads them, across growth, shrink and aspect-ratio changes.
   Rng rng(31);
   detail::KernelArena arena;
   for (const auto& [tlen, qlen] : std::vector<std::pair<i32, i32>>{
            {300, 290}, {65, 400}, {129, 17}, {kStripMaxRows, kStripMaxRows}, {1, 50}, {64, 64}}) {
     const std::vector<u8> t = random_codes(rng, tlen);
     const std::vector<u8> q = related_query(rng, t, qlen);
-    for (const bool cigar : {false, true}) {
-      DiffArgs a = make_args(t, q, AlignMode::kGlobal, cigar);
-      const AlignResult fresh = detail::strip_kernel()(a);
-      a.arena = &arena;
-      arena.poison(0xA5);
-      expect_same(detail::strip_kernel()(a), fresh, "poisoned");
-      expect_same(detail::strip_kernel()(a), fresh, "reused");
+    for (const AlignMode mode : {AlignMode::kGlobal, AlignMode::kExtension}) {
+      for (const bool cigar : {false, true}) {
+        DiffArgs a = make_args(t, q, mode, cigar);
+        const AlignResult fresh = detail::strip_kernel()(a);
+        a.arena = &arena;
+        arena.poison(0xA5);
+        expect_same(detail::strip_kernel()(a), fresh, "poisoned");
+        expect_same(detail::strip_kernel()(a), fresh, "reused");
+      }
     }
   }
 }
 
-TEST(StripRouting, OnlySmallUnbandedGlobalCallsTakeTheStripPath) {
-  const std::vector<u8> t(kStripMaxRows, 0), q(100, 0);
+TEST_F(StripPath, ReservedDirsStayWithinFootprint) {
+  // A path-mode call reserves exactly the score-mode workspace plus its
+  // dirs area; that area must stay within dirs_footprint, which the
+  // mapper's spill decision and estimate_dirs_bytes rely on.
+  const std::vector<i32> sizes{1, 63, 64, 65, 1000, 2064};
+  Rng rng(3);
+  for (const i32 tlen : sizes) {
+    for (const i32 qlen : sizes) {
+      const std::vector<u8> t = random_codes(rng, tlen);
+      const std::vector<u8> q = random_codes(rng, qlen);
+      detail::KernelArena score_arena, path_arena;
+      DiffArgs a = make_args(t, q, AlignMode::kExtension, false);
+      a.arena = &score_arena;
+      detail::strip_kernel()(a);
+      a.with_cigar = true;
+      a.arena = &path_arena;
+      detail::strip_kernel()(a);
+      const u64 dirs = path_arena.reserved_bytes() - score_arena.reserved_bytes();
+      EXPECT_LE(dirs, detail::KernelArena::dirs_footprint(tlen, qlen))
+          << "tlen=" << tlen << " qlen=" << qlen;
+    }
+  }
+}
+
+TEST(StripRouting, EveryUnbandedUnstreamedCallTakesTheStripPath) {
+  const std::vector<u8> t(3000, 0), q(100, 0);
   DiffArgs a = make_args(t, q, AlignMode::kGlobal, true);
-  EXPECT_TRUE(detail::takes_strip_path(a));
+  EXPECT_TRUE(detail::strip_kernel_accepts(a));  // any size
   DiffArgs b = a;
-  b.tlen = kStripMaxRows + 1;
-  EXPECT_FALSE(detail::takes_strip_path(b));
+  b.mode = AlignMode::kExtension;
   EXPECT_TRUE(detail::strip_kernel_accepts(b));
   b = a;
-  b.mode = AlignMode::kExtension;
-  EXPECT_FALSE(detail::takes_strip_path(b));
-  b = a;
   b.band = 16;
-  EXPECT_FALSE(detail::takes_strip_path(b));
+  EXPECT_FALSE(detail::strip_kernel_accepts(b));
   b = a;
   b.zdrop = 100;
-  EXPECT_FALSE(detail::takes_strip_path(b));
+  EXPECT_FALSE(detail::strip_kernel_accepts(b));
+  b = a;
+  MemDirsSpill spill;
+  b.spill = &spill;
+  EXPECT_FALSE(detail::strip_kernel_accepts(b));
   EXPECT_FALSE(kernel_has_strips(get_diff_kernel(Layout::kManymap, Isa::kScalar)));
   EXPECT_FALSE(kernel_has_strips(get_diff_kernel(Layout::kMinimap2, Isa::kAvx512)));
   EXPECT_EQ(kernel_has_strips(get_diff_kernel(Layout::kManymap, Isa::kAvx512)),

@@ -59,9 +59,9 @@ std::vector<Shape> test_shapes() {
   shapes.push_back({small, mutate(14, small, 0.30)});
   shapes.push_back({noisy_pair_target(15, 190), noisy_pair_target(16, 31)});  // skewed
   shapes.push_back({noisy_pair_target(17, 16), noisy_pair_target(18, 129)});  // skewed back
-  // Small global pair one row past a 64-row strip edge: the AVX-512BW
-  // manymap kernel runs it on the strip path, whose carry rows must be
-  // rewritten before any live lane reads them.
+  // Small pair one row past a 64-row strip edge: the AVX-512BW manymap
+  // kernel runs it on the strip path in both modes, whose carry and
+  // border rows must be rewritten before any live lane reads them.
   const std::vector<u8> strip = noisy_pair_target(19, 65);
   shapes.push_back({strip, mutate(20, strip, 0.15)});
   return shapes;

@@ -4,6 +4,7 @@
 
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
@@ -11,6 +12,7 @@
 #include <fstream>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "core/paf.hpp"
 #include "index/index_io.hpp"
@@ -50,6 +52,33 @@ std::string slurp(const std::string& path) {
   std::ostringstream ss;
   ss << in.rdbuf();
   return ss.str();
+}
+
+TEST(Cli, CigarTagsSurviveEveryThreadCount) {
+  // The threaded pipelines render the same PAF lines as the serial loop,
+  // cg:Z tags included. The minimap2 pipeline keeps input order, so its
+  // output is byte-identical; the manymap pipeline emits each batch
+  // longest-first, so its lines are compared as a sorted set.
+  const std::string ref = tmp("cli_cg_ref.fa");
+  const std::string reads = tmp("cli_cg_reads.fq");
+  const std::string one = tmp("cli_cg_t1.paf");
+  const std::string four = tmp("cli_cg_t4.paf");
+  ASSERT_EQ(run_cli("simulate " + ref + " " + reads + " --length 100000 --reads 12"), 0);
+  const std::string map = "map " + ref + " " + reads + " --cigar ";
+  ASSERT_EQ(run_cli(map + "--threads 1 > " + one), 0);
+  const std::string serial = slurp(one);
+  EXPECT_NE(serial.find("cg:Z:"), std::string::npos);
+  ASSERT_EQ(run_cli(map + "--threads 4 --pipeline minimap2 > " + four), 0);
+  EXPECT_EQ(slurp(four), serial);
+  ASSERT_EQ(run_cli(map + "--threads 4 > " + four), 0);
+  auto sorted_lines = [](const std::string& text) {
+    std::vector<std::string> lines;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    std::sort(lines.begin(), lines.end());
+    return lines;
+  };
+  EXPECT_EQ(sorted_lines(slurp(four)), sorted_lines(serial));
 }
 
 TEST(Cli, SimulateIndexMapRoundTrip) {

@@ -15,6 +15,7 @@
 //     offsets are idempotent).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -214,7 +215,10 @@ TEST(DirsStream, ResidentBlockStaysBounded) {
   a.arena = &resident_arena;
   expect_same(get_diff_kernel(Layout::kManymap, best_isa())(a), streamed,
               "bounded-block streamed result");
-  EXPECT_GE(resident_arena.reserved_bytes(), full);
+  // The resident call holds a whole dirs area: the padded rows, or the
+  // strip layout on an AVX-512BW host (dirs_footprint bounds both).
+  EXPECT_GE(resident_arena.reserved_bytes(),
+            std::min(full, KernelArena::strip_dirs_bytes(1500, 1500)));
 }
 
 TEST(DirsStream, SpillStatsCountBlocks) {

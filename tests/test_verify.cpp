@@ -190,6 +190,18 @@ TEST(Int8Contract, PreFixParameterSetsAreNowRejected) {
   EXPECT_TRUE(TwoPieceParams::map_pb().fits_int8());
 }
 
+TEST(Int8Contract, GapSumsThatSaturateAreRejected) {
+  // x + v reaches -2(q+e): q=100, e=24 saturated there and every SIMD
+  // kernel disagreed with the reference on random 200-base pairs.
+  EXPECT_FALSE((ScoreParams{1, 125, 100, 24}.fits_int8()));
+  EXPECT_FALSE((ScoreParams{1, 125, 41, 24}.fits_int8()));
+  EXPECT_TRUE((ScoreParams{1, 125, 40, 24}.fits_int8()));
+  // Two-piece: xk + v reaches -(qk+ek) - min(q1+e1, q2+e2).
+  EXPECT_FALSE((TwoPieceParams{1, 125, 40, 24, 80, 20}.fits_int8()));
+  EXPECT_FALSE((TwoPieceParams{1, 125, 30, 10, 80, 9}.fits_int8()));
+  EXPECT_TRUE((TwoPieceParams{1, 125, 30, 10, 80, 8}.fits_int8()));
+}
+
 using Int8ContractDeathTest = ::testing::Test;
 
 TEST(Int8ContractDeathTest, ScalarDiffKernelRefusesWrappingParams) {

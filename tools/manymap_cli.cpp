@@ -205,7 +205,8 @@ int cmd_map(const ArgList& args) {
   } else {
     const auto kind = args.get("pipeline", "manymap") == "minimap2" ? PipelineKind::kMinimap2
                                                                     : PipelineKind::kManymap;
-    const auto result = aligner.map_reads(reads, kind, threads);
+    const auto result =
+        aligner.map_reads(reads, kind, threads, Aligner::kDefaultBatchBases, cigar_tag);
     std::cout << result.paf;
     mapped = result.stats.reads;
   }
