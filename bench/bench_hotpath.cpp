@@ -19,8 +19,10 @@
 // Usage:
 //   bench_hotpath [--out BENCH_hotpath.json]   full run (~1 min)
 //   bench_hotpath --smoke                      short run; exit 1 if any
-//                                              steady-state call allocates
-//                                              or banded stops beating full
+//                                              steady-state call allocates,
+//                                              a 16 kbp banded row flags
+//                                              band_hit, or banded stops
+//                                              beating full
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -80,14 +82,16 @@ struct Workload {
   std::vector<u8> query;
 };
 
-Workload make_workload(i32 len) {
+/// A random target and a copy of it with each base redrawn at
+/// `mutation_rate` (substitutions only).
+Workload make_workload(i32 len, double mutation_rate = 0.15) {
   Workload w;
   Rng rng(123);
   w.target.resize(static_cast<std::size_t>(len));
   for (auto& b : w.target) b = rng.base();
   w.query = w.target;
   for (auto& b : w.query)
-    if (rng.bernoulli(0.15)) b = rng.base();
+    if (rng.bernoulli(mutation_rate)) b = rng.base();
   return w;
 }
 
@@ -101,6 +105,7 @@ struct Row {
   u64 steady_alloc_calls = 0;   ///< firings across ALL steady-state calls
   u64 steady_growths = 0;       ///< arena growth events ditto
   u64 spilled_bytes = 0;        ///< sink high-water (path-stream rows only)
+  u64 band_hits = 0;            ///< banded calls that flagged band_hit
 };
 
 /// Run `invoke` repeatedly for >= min_seconds (after one warm-up) and
@@ -235,16 +240,24 @@ void collect_small(double min_seconds, std::vector<Row>& rows) {
 
 /// Banded kernel rows: one 16 kbp x 16 kbp related pair (the paper's long
 /// read scale) in path mode on the widest ISA, band 0 (full) vs 64 / 251 /
-/// 1024 half-widths, dirs streamed through a 256 KiB resident block so the
+/// 1024 half-widths. The pair differs by ~0.15% substitutions
+/// (kBandedMutationRate): the band ledger certifies its optimum even at
+/// band 64 (a path that leaves the band pays more in gaps than ~24
+/// mismatches cost), so every banded row times a complete in-band
+/// alignment, backtrack included. At CLR-grade error no 16 kbp band can
+/// prove its optimum, and the kernel would stop at band_hit before the
+/// walk. Dirs are streamed through a 256 KiB resident block so the
 /// spilled-bytes column shows the O(band) block shrink next to the O(|Q|)
 /// full rows. ns/cell here is normalized by the FULL |T|x|Q| cell count
 /// for every row — "effective time per full-matrix cell" — so the banded
 /// rows' win over the full row is the point of the column, not the
 /// per-touched-cell cost (which barely moves). Returns the manymap-layout
 /// full/band=251 wall-time ratio for the --smoke banded-beats-full check.
+constexpr double kBandedMutationRate = 0.002;
+
 double collect_banded(double min_seconds, std::vector<Row>& rows) {
   const i32 len = 16000;
-  const Workload w = make_workload(len);
+  const Workload w = make_workload(len, kBandedMutationRate);
   const u64 full_cells = static_cast<u64>(len) * static_cast<u64>(len);
   const Isa isa = best_isa();
   detail::DpAllocStats& stats = detail::dp_alloc_stats();
@@ -277,10 +290,9 @@ double collect_banded(double min_seconds, std::vector<Row>& rows) {
       stats.reset();
       row.reused_ns = time_ns_per_cell(
           [&] {
-            const AlignResult r = fn(a);
-            // The related pair keeps the optimum on the diagonal; a band
-            // hit would silently time the wrong (confined) computation.
-            if (r.band_hit) std::fprintf(stderr, "FAIL: unexpected band_hit\n");
+            // A band hit would time the wrong (confined, walk-free)
+            // computation; main() counts each one as a violation.
+            row.band_hits += fn(a).band_hit ? 1 : 0;
             return full_cells;
           },
           min_seconds);
@@ -467,9 +479,10 @@ void write_json(const std::vector<Row>& rows, const std::string& path, i32 len) 
   std::fprintf(f, "{\n  \"bench\": \"hotpath\",\n  \"workload\": "
                "{\"tlen\": %d, \"qlen\": %d, \"mutation_rate\": 0.15, \"seed\": 123},\n"
                "  \"banded_workload\": {\"tlen\": 16000, \"qlen\": 16000, "
-               "\"note\": \"path-16k-* rows; ns/cell normalized by the full "
-               "matrix cell count\"},\n"
-               "  \"baseline_commit\": \"7c5dcf3\",\n  \"rows\": [\n", len, len);
+               "\"mutation_rate\": %g, \"note\": \"path-16k-* rows; ns/cell normalized by "
+               "the full matrix cell count\"},\n"
+               "  \"baseline_commit\": \"7c5dcf3\",\n  \"rows\": [\n",
+               len, len, kBandedMutationRate);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     const double speedup = r.reused_ns > 0.0 && r.baseline_ns > 0.0
@@ -549,6 +562,12 @@ int main(int argc, char** argv) {
                    r.family.c_str(), r.layout.c_str(), r.isa.c_str());
       ++violations;
     }
+    if (r.band_hits != 0) {
+      std::fprintf(stderr, "FAIL: %s/%s/%s/%s flagged band_hit on %llu call(s)\n",
+                   r.family.c_str(), r.layout.c_str(), r.isa.c_str(), r.mode.c_str(),
+                   static_cast<unsigned long long>(r.band_hits));
+      ++violations;
+    }
     // The zero-allocation contract: once an arena has seen a shape, further
     // calls (score or path) must never reach the allocator.
     if (r.steady_alloc_calls != 0 || r.steady_growths != 0) {
@@ -585,7 +604,7 @@ int main(int argc, char** argv) {
 
   if (!smoke) write_json(rows, out, len);
   if (violations != 0) {
-    std::fprintf(stderr, "%d backend(s) violated the zero-allocation contract\n",
+    std::fprintf(stderr, "%d violation(s) of the allocation, streaming, band or speed gates\n",
                  violations);
     return 1;
   }

@@ -27,7 +27,9 @@ ConcatRef concat_reference(const Reference& ref);
 Mapping mapping_from_chain(const Reference& ref, const Sequence& read, const Chain& chain,
                            u32 k);
 
-/// Assign mapq from the top-two chain scores, mirroring the mapper.
+/// Assign mapq from the chain scores of the first two mappings. The
+/// mapper differs: it takes f2 from its runner-up chain, read before it
+/// drops weak secondary chains.
 void assign_mapq(std::vector<Mapping>& mappings);
 
 }  // namespace baseline_detail

@@ -19,9 +19,14 @@ Aligner::BatchResult Aligner::map_reads(std::vector<Sequence> reads, PipelineKin
   std::map<u64, std::string> chunks;
   OutputSink sink = [&](u64 batch_id, const std::vector<std::string>& lines) {
     std::string blob;
-    for (const auto& l : lines) blob += l;
+    u64 mapped = 0;  // an unmapped read renders an empty PAF block
+    for (const auto& l : lines) {
+      blob += l;
+      mapped += l.empty() ? 0 : 1;
+    }
     std::lock_guard lock(out_mu);
     chunks.emplace(batch_id, std::move(blob));
+    result.mapped_reads += mapped;
   };
 
   PipelineOptions opt;

@@ -32,6 +32,7 @@ class Aligner {
     std::string paf;  ///< PAF lines for all reads, in batch order; the
                       ///< manymap pipeline emits each batch longest-first
     PipelineStats stats;
+    u64 mapped_reads = 0;  ///< reads with at least one mapping
   };
 
   static constexpr u64 kDefaultBatchBases = 2'000'000;

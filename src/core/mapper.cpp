@@ -108,7 +108,27 @@ std::vector<Mapping> Mapper::map(const Sequence& read, const MapCall& call) cons
   if (chains.empty()) return mappings;
   check_deadline();  // after chaining, before base-level alignment
 
+  // MAPQ's f2 is the runner-up chain score, read before the cap and the
+  // filter below so that neither moves it. Any second chain counts, a
+  // supplementary one too (minimap2 takes f2 only from chains that
+  // overlap the primary on the query). When DP promotes a lower chain,
+  // f2 >= f1 and MAPQ is 0.
+  const i32 runner_up_score = chains.size() > 1 ? chains[1].score : 0;
+  const double min_secondary_score = opt_.pri_ratio * chains[0].score;
+
   if (chains.size() > opt_.max_mappings) chains.resize(opt_.max_mappings);
+  // minimap2's -p rule: a secondary chain scoring below pri_ratio x the
+  // best chain is not aligned. Most DP cells of a noisy read would go to
+  // such chains (DESIGN.md, "Chain selection before DP"). Supplementary
+  // chains cover other parts of the read and are kept whatever their
+  // score. Unlike minimap2, the cap above runs first and counts them too.
+  // A dropped chain can still change the output: it may have won the DP
+  // re-rank below, or overlapped a kept mapping that then turns primary.
+  chains.erase(std::remove_if(chains.begin(), chains.end(),
+                              [&](const Chain& c) {
+                                return !c.primary && c.score < min_secondary_score;
+                              }),
+               chains.end());
 
   WallTimer align_timer;
   const u32 k = opt_.sketch.k;
@@ -427,10 +447,11 @@ std::vector<Mapping> Mapper::map(const Sequence& read, const MapCall& call) cons
     }
   }
 
-  // MAPQ from the top-two chain scores (minimap2-flavoured heuristic).
+  // MAPQ from the winner's chain score f1 and the runner-up chain score
+  // f2 (minimap2-flavoured heuristic).
   if (!mappings.empty()) {
     const double f1 = static_cast<double>(mappings[0].chain_score);
-    const double f2 = mappings.size() > 1 ? static_cast<double>(mappings[1].chain_score) : 0.0;
+    const double f2 = static_cast<double>(runner_up_score);
     for (auto& m : mappings) {
       if (!m.primary) {
         m.mapq = 0;

@@ -29,6 +29,13 @@ struct MapOptions {
   u32 end_bonus_window = 64;
   /// Report at most this many mappings per read.
   u32 max_mappings = 5;
+  /// minimap2 -p: secondary chains scoring below pri_ratio x the best
+  /// chain are dropped before base-level alignment (0 = align every chain
+  /// up to max_mappings). Supplementary chains are always kept. Not a
+  /// command-line option: the front ends use minimap2's 0.8, and only
+  /// tests and src/verify set 0, to compare with or to exercise the DP
+  /// calls of every chain.
+  double pri_ratio = 0.8;
   /// How DP kernel bands are chosen (--band auto|N). kAuto (the default)
   /// derives a per-segment band from chain geometry via `auto_band`;
   /// kFixed uses the static half-width in `band`; kOff is always

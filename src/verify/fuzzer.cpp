@@ -851,6 +851,10 @@ AutoBandSweepResult run_autoband_sweep(
       opt_h.auto_band.indel_sd_mult = 0.0;
       opt_h.auto_band.ext_bias_frac = 0.0;
       opt_h.auto_band.ext_band_max_len = std::numeric_limits<i32>::max();
+      // Align every chain: most escapes come from extensions of weak
+      // secondary chains, which the default pri_ratio never aligns, and
+      // this check needs escapes to exercise the fallback.
+      opt_h.pri_ratio = 0.0;
       mapper_hostile = std::make_unique<Mapper>(ref, index, opt_h);
       // The off-mode baseline must share the hostile policy knobs: the
       // huge-gap advisory band (banded_global_align, no rerun contract)

@@ -15,6 +15,7 @@
 #include "core/mapper.hpp"
 #include "core/options.hpp"
 #include "gpu/placement.hpp"
+#include "mapper_fixture.hpp"
 #include "simulate/genome.hpp"
 #include "simulate/read_sim.hpp"
 
@@ -226,35 +227,6 @@ TEST(MapTimings, AccumulatesAutoBandCounters) {
   EXPECT_EQ(a.band_fallbacks, 3u);
 }
 
-struct MapperFixture {
-  Reference ref;
-  std::vector<SimulatedRead> reads;
-  MinimizerIndex index;
-
-  explicit MapperFixture(u64 seed, const MapOptions& base, u32 num_reads = 4,
-                         u32 max_len = 4'000)
-      : ref(make_ref(seed)),
-        reads(make_reads(ref, seed, num_reads, max_len)),
-        index(MinimizerIndex::build(ref, base.sketch)) {}
-
-  static Reference make_ref(u64 seed) {
-    GenomeParams gp;
-    gp.total_length = 30'000;
-    gp.num_contigs = 1;
-    gp.seed = seed;
-    return generate_genome(gp);
-  }
-  static std::vector<SimulatedRead> make_reads(const Reference& r, u64 seed, u32 n,
-                                               u32 max_len) {
-    ReadSimParams rp;
-    rp.num_reads = n;
-    rp.seed = seed * 13 + 1;
-    rp.profile = ErrorProfile::pacbio();
-    rp.profile.max_length = max_len;
-    return ReadSimulator(r, rp).simulate();
-  }
-};
-
 void expect_identical(const std::vector<Mapping>& a, const std::vector<Mapping>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -307,6 +279,10 @@ TEST(AutoBandMapper, HostilePolicyFallsBackLoudlyNotWrongly) {
   opt_h.auto_band.indel_frac = 0.0;
   opt_h.auto_band.indel_sd_mult = 0.0;
   opt_h.auto_band.ext_bias_frac = 0.0;
+  // This pass exercises the fallback mechanism itself, and on these reads
+  // every escape comes from banded extensions of weak secondary chains,
+  // which the default pri_ratio drops before DP. Align every chain.
+  opt_h.pri_ratio = 0.0;
   // The off baseline shares the hostile policy: the huge-gap advisory
   // band is policy-derived in BOTH modes (that is what makes auto ≡ off),
   // so the comparison must not mix two different policies.
@@ -321,6 +297,15 @@ TEST(AutoBandMapper, HostilePolicyFallsBackLoudlyNotWrongly) {
   // A 1-wide band on 15%-error reads cannot hold the optimum: escapes
   // must surface as counted fallbacks, never as silent divergence.
   EXPECT_GT(t_h.band_fallbacks, 0u);
+
+  // The same hostile policy at the default pri_ratio stays exact.
+  MapOptions opt_hd = opt_h;
+  opt_hd.pri_ratio = base.pri_ratio;
+  MapOptions opt_offd = opt_off;
+  opt_offd.pri_ratio = base.pri_ratio;
+  const Mapper m_hd(fx.ref, fx.index, opt_hd);
+  const Mapper m_offd(fx.ref, fx.index, opt_offd);
+  for (const auto& sr : fx.reads) expect_identical(m_hd.map(sr.read), m_offd.map(sr.read));
 }
 
 TEST(AutoBandMapper, ExplicitCallBandOverridesAutoMode) {

@@ -81,6 +81,40 @@ TEST(Cli, CigarTagsSurviveEveryThreadCount) {
   EXPECT_EQ(sorted_lines(slurp(four)), sorted_lines(serial));
 }
 
+/// The "mapped N/M" part of the CLI's summary line in `err_path`.
+std::string mapped_count(const std::string& err_path) {
+  const std::string text = slurp(err_path);
+  const auto at = text.find("mapped ");
+  if (at == std::string::npos) return "";
+  return text.substr(at, text.find(' ', at + 7) - at);
+}
+
+// "mapped N/M" counts reads with at least one mapping, whatever the
+// thread count: reads of another genome are processed but not mapped.
+TEST(Cli, MappedCountIsEqualAtEveryThreadCount) {
+  const std::string ref = tmp("cli_mc_ref.fa");
+  const std::string reads = tmp("cli_mc_reads.fq");
+  const std::string other_ref = tmp("cli_mc_other.fa");
+  const std::string other_reads = tmp("cli_mc_other.fq");
+  const std::string all = tmp("cli_mc_all.fq");
+  const std::string err1 = tmp("cli_mc_t1.txt");
+  const std::string err2 = tmp("cli_mc_t2.txt");
+  ASSERT_EQ(run_cli("simulate " + ref + " " + reads + " --length 100000 --reads 12 --seed 3"), 0);
+  ASSERT_EQ(run_cli("simulate " + other_ref + " " + other_reads +
+                    " --length 100000 --reads 6 --seed 91"),
+            0);
+  ASSERT_EQ(std::system(("cat " + reads + " " + other_reads + " > " + all).c_str()), 0);
+  const std::string map = "map " + ref + " " + all + " --threads ";
+  ASSERT_EQ(run_cli_stderr(map + "1 > /dev/null", err1), 0);
+  ASSERT_EQ(run_cli_stderr(map + "2 > /dev/null", err2), 0);
+  const std::string serial = mapped_count(err1);
+  ASSERT_FALSE(serial.empty()) << slurp(err1);
+  EXPECT_NE(serial, "mapped 18/18") << "reads of the other genome should not map";
+  EXPECT_EQ(mapped_count(err2), serial);
+  for (const auto& p : {ref, reads, other_ref, other_reads, all, err1, err2})
+    std::remove(p.c_str());
+}
+
 TEST(Cli, SimulateIndexMapRoundTrip) {
   const std::string ref = tmp("cli_ref.fa");
   const std::string reads = tmp("cli_reads.fq");

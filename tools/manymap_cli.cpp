@@ -208,7 +208,7 @@ int cmd_map(const ArgList& args) {
     const auto result =
         aligner.map_reads(reads, kind, threads, Aligner::kDefaultBatchBases, cigar_tag);
     std::cout << result.paf;
-    mapped = result.stats.reads;
+    mapped = result.mapped_reads;
   }
   std::fprintf(stderr, "[manymap] mapped %llu/%zu reads in %.3fs (%s layout, %s)\n",
                static_cast<unsigned long long>(mapped), reads.size(), timer.seconds(),
