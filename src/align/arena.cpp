@@ -156,6 +156,7 @@ DiffWorkspace KernelArena::prepare_diff(const DiffArgs& a, bool manymap_layout) 
   ws.X = x_.data();
   ws.tp = tp_.data();
   ws.qr = qr_.data() + kLanePad;
+  ws.path = &path_;
   if (a.with_cigar) {
     refresh_diag_off(a.tlen, a.qlen, a.band);
     ws.diag_off = diag_off_.data();
@@ -175,6 +176,7 @@ DiffWorkspace KernelArena::prepare_strips(const DiffArgs& a) {
   ws.X = x_.data();
   ws.tp = tp_.data();
   ws.qr = qr_.data() + kLanePad;
+  ws.path = &path_;
   ws.last_col = last_col_.data();
   ws.bottom_row = bottom_row_.data() + kLanePad;
   if (a.with_cigar) {  // 64-byte aligned, so every diagonal is one cache line
@@ -261,6 +263,7 @@ void KernelArena::release() {
   diag_off_.clear();
   diag_off_.shrink_to_fit();
   off_tlen_ = off_qlen_ = -1;
+  path_ = Cigar{};
 }
 
 u64 KernelArena::trim(u64 max_bytes) {

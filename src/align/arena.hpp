@@ -106,6 +106,11 @@ struct DiffWorkspace {
   /// v(|T|-1, ·) by diagonal of the last strip (kLanePad into its buffer).
   i8* last_col = nullptr;
   i8* bottom_row = nullptr;
+  /// The arena's path buffer: backtrack builds the CIGAR in its storage
+  /// and moves it into AlignResult::cigar. A caller done with that CIGAR
+  /// hands it back through KernelArena::recycle_path, so a warm caller
+  /// allocates nothing per path.
+  Cigar* path = nullptr;
 };
 
 /// Two-piece analogue: two difference rows per gap direction.
@@ -139,6 +144,10 @@ class KernelArena {
   /// strip-major dirs area (strip_dirs_bytes; no diag_off table).
   DiffWorkspace prepare_strips(const DiffArgs& a);
   TwoPieceWorkspace prepare_twopiece(const TwoPieceArgs& a, bool manymap_layout);
+
+  /// Return a finished AlignResult::cigar; the next backtrack reuses its
+  /// storage (DiffWorkspace::path).
+  void recycle_path(Cigar&& cigar) { path_ = std::move(cigar); }
 
   /// Number of buffer growth events since construction (0 in steady state).
   u64 growth_events() const { return growth_events_; }
@@ -208,6 +217,7 @@ class KernelArena {
   std::vector<u64> diag_off_;
   i32 off_tlen_ = -1, off_qlen_ = -1, off_band_ = -1;  ///< cached diag_off key
   u64 growth_events_ = 0;
+  Cigar path_;  ///< recycled path storage (DiffWorkspace::path)
   DirsStream stream_;  ///< streaming cursor (live between prepare and backtrack)
 };
 

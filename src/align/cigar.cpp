@@ -4,6 +4,7 @@
 #include <cctype>
 
 #include "align/scoring.hpp"
+#include "sequence/dna.hpp"
 
 namespace manymap {
 
@@ -82,6 +83,33 @@ i64 Cigar::score(const std::vector<u8>& target, const std::vector<u8>& query, u6
     }
   }
   return total;
+}
+
+}  // namespace manymap
+
+namespace manymap {
+
+PathStats Cigar::stats(std::span<const u8> target, std::span<const u8> query, u64 t_off,
+                       u64 q_off, const ScoreParams& params) const {
+  PathStats st;
+  u64 ti = t_off, qi = q_off;
+  for (const auto& o : ops_) {
+    st.length += o.len;
+    if (o.op == 'M') {
+      MM_REQUIRE(ti + o.len <= target.size() && qi + o.len <= query.size(),
+                 "CIGAR overruns sequences");
+      const u64 m = count_matches(target.data() + ti, query.data() + qi, o.len);
+      st.matches += m;
+      st.score += static_cast<i64>(m) * params.match -
+                  static_cast<i64>(o.len - m) * params.mismatch;
+      ti += o.len;
+      qi += o.len;
+    } else {
+      st.score -= params.gap_open + static_cast<i64>(o.len) * params.gap_ext;
+      (o.op == 'D' ? ti : qi) += o.len;
+    }
+  }
+  return st;
 }
 
 }  // namespace manymap

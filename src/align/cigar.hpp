@@ -6,12 +6,23 @@
 //   'I' consumes one query base (insertion into the query).
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
 #include "base/common.hpp"
 
 namespace manymap {
+
+struct ScoreParams;
+
+/// What a final path reports: its exact score, its 'M' columns whose bases
+/// are equal and not N, and its length (the sum of all op lengths).
+struct PathStats {
+  i64 score = 0;
+  u64 matches = 0;
+  u64 length = 0;
+};
 
 struct CigarOp {
   char op = 'M';
@@ -28,6 +39,8 @@ class Cigar {
 
   /// Reverse the op order in place (backtracking emits tail-first).
   void reverse();
+  /// Drop every op, keeping the storage for the next path.
+  void clear() { ops_.clear(); }
 
   const std::vector<CigarOp>& ops() const { return ops_; }
   bool empty() const { return ops_.empty(); }
@@ -43,7 +56,14 @@ class Cigar {
   /// Score this path against concrete sequences with the given parameters;
   /// used to cross-check kernels (path score must equal reported score).
   i64 score(const std::vector<u8>& target, const std::vector<u8>& query, u64 t_off, u64 q_off,
-            const struct ScoreParams& params) const;
+            const ScoreParams& params) const;
+
+  /// score() and the match count in one pass: an 'M' run of L columns
+  /// with m matches scores m·match − (L−m)·mismatch, and m comes from a
+  /// vector compare over the run. MM_REQUIREs that the path stays inside
+  /// both sequences.
+  PathStats stats(std::span<const u8> target, std::span<const u8> query, u64 t_off, u64 q_off,
+                  const ScoreParams& params) const;
 
   friend bool operator==(const Cigar&, const Cigar&) = default;
 

@@ -57,37 +57,39 @@ void check_dirs_spill(u64 bytes) {
 }
 
 Cigar backtrack(const u8* dirs, const u64* diag_off, i32 tlen, i32 qlen, i32 i_end,
-                i32 j_end, i32 band) {
+                i32 j_end, i32 band, Cigar into) {
   if (band > 0)
     return backtrack_cells(
         [&](i32 i, i32 j) -> u8 {
           return check_banded_dir(dirs[diag_off[static_cast<std::size_t>(i + j)] +
                                        banded_row_index(i, j, tlen, qlen, band)]);
         },
-        i_end, j_end);
+        i_end, j_end, std::move(into));
   return backtrack_cells(
       [&](i32 i, i32 j) -> u8 {
         const i32 r = i + j;
         return dirs[diag_off[static_cast<std::size_t>(r)] +
                     static_cast<u64>(i - diag_start(r, qlen))];
       },
-      i_end, j_end);
+      i_end, j_end, std::move(into));
 }
 
 Cigar backtrack_ws(const DiffWorkspace& ws, i32 tlen, i32 qlen, i32 i_end, i32 j_end,
                    i32 band) {
+  Cigar into = take_path(ws);
   if (ws.stream == nullptr)
-    return backtrack(ws.dirs, ws.diag_off, tlen, qlen, i_end, j_end, band);
+    return backtrack(ws.dirs, ws.diag_off, tlen, qlen, i_end, j_end, band, std::move(into));
   DirsStream& s = *ws.stream;
   s.seal();
   // Nothing spilled: the block holds the whole dirs area at its diag_off
   // offsets, so the resident walk applies unchanged.
   if (s.in_memory())
-    return backtrack(s.block, ws.diag_off, tlen, qlen, i_end, j_end, band);
+    return backtrack(s.block, ws.diag_off, tlen, qlen, i_end, j_end, band, std::move(into));
   if (band > 0)
-    return backtrack_cells(
-        [&s](i32 i, i32 j) { return check_banded_dir(s.at(i, j)); }, i_end, j_end);
-  return backtrack_cells([&s](i32 i, i32 j) { return s.at(i, j); }, i_end, j_end);
+    return backtrack_cells([&s](i32 i, i32 j) { return check_banded_dir(s.at(i, j)); },
+                           i_end, j_end, std::move(into));
+  return backtrack_cells([&s](i32 i, i32 j) { return s.at(i, j); }, i_end, j_end,
+                         std::move(into));
 }
 
 bool handle_degenerate(const DiffArgs& a, AlignResult& out) {

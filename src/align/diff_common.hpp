@@ -121,34 +121,52 @@ inline constexpr u8 kDirPruned = 0xFF;
 /// One-piece backtrack state machine over any direction-byte accessor
 /// `dir_at(i, j) -> u8`, starting at (i_end, j_end) and walking to (0,0).
 /// Shared by the resident path (contiguous dirs + diag_off) and the
-/// streaming path (windowed reads over a DirsSpill sink).
+/// streaming path (windowed reads over a DirsSpill sink). A run of equal
+/// steps is pushed once; the path is built in `cig`'s storage (see
+/// DiffWorkspace::path).
 template <class DirAt>
-Cigar backtrack_cells(DirAt&& dir_at, i32 i_end, i32 j_end) {
-  Cigar cig;
+Cigar backtrack_cells(DirAt&& dir_at, i32 i_end, i32 j_end, Cigar cig = {}) {
+  cig.clear();
   i32 i = i_end, j = j_end;
   int state = 0;  // 0 = H, 1 = E (deletion run), 2 = F (insertion run)
+  char run_op = 'M';
+  u32 run = 0;
+  auto step = [&](char op) {
+    if (op != run_op) {
+      cig.push(run_op, run);
+      run_op = op;
+      run = 0;
+    }
+    ++run;
+  };
   while (i >= 0 && j >= 0) {
     if (state == 0) state = dir_at(i, j) & 3;
     if (state == 0) {
-      cig.push('M', 1);
+      step('M');
       --i;
       --j;
     } else if (state == 1) {
-      cig.push('D', 1);
+      step('D');
       const bool ext = i > 0 && (dir_at(i - 1, j) & kExtDel) != 0;
       --i;
       if (!ext) state = 0;
     } else {
-      cig.push('I', 1);
+      step('I');
       const bool ext = j > 0 && (dir_at(i, j - 1) & kExtIns) != 0;
       --j;
       if (!ext) state = 0;
     }
   }
+  cig.push(run_op, run);
   if (i >= 0) cig.push('D', static_cast<u32>(i + 1));
   if (j >= 0) cig.push('I', static_cast<u32>(j + 1));
   cig.reverse();
   return cig;
+}
+
+/// The workspace's path storage for backtrack_cells (empty without one).
+inline Cigar take_path(const DiffWorkspace& ws) {
+  return ws.path != nullptr ? std::move(*ws.path) : Cigar{};
 }
 
 /// Reconstruct the CIGAR from direction bytes, starting at cell
@@ -158,7 +176,7 @@ Cigar backtrack_cells(DirAt&& dir_at, i32 i_end, i32 j_end) {
 /// are indexed from each diagonal's static band start and a walk outside
 /// the band (or into a pruned cell) throws BandHitError.
 Cigar backtrack(const u8* dirs, const u64* diag_off, i32 tlen, i32 qlen, i32 i_end,
-                i32 j_end, i32 band = 0);
+                i32 j_end, i32 band = 0, Cigar into = {});
 
 /// Mode-dispatching backtrack over a prepared workspace: resident dirs
 /// walk in place, streamed dirs are sealed and walked through the spill

@@ -212,7 +212,7 @@ AlignResult strip_align(const DiffArgs& a) {
           return dirs[static_cast<u64>(i / kStripRows) * stride +
                       static_cast<u64>(l + j) * kStripRows + static_cast<u64>(l)];
         },
-        out.t_end, out.q_end);
+        out.t_end, out.q_end, take_path(ws));
   }
   return out;
 }

@@ -73,16 +73,23 @@ std::vector<Chain> chain_anchors(const std::vector<Anchor>& anchors, const Chain
     if (used[tail] || f[tail] < p.min_score) continue;
     // Walk back until the start of the chain or an anchor already claimed
     // by a better chain; a truncated suffix only keeps its marginal score.
-    std::vector<Anchor> members;
+    // The first walk sizes the members, the second fills them front to back.
+    std::size_t count = 0;
     i32 cur = static_cast<i32>(tail);
     while (cur >= 0 && !used[static_cast<std::size_t>(cur)]) {
-      members.push_back(anchors[static_cast<std::size_t>(cur)]);
-      used[static_cast<std::size_t>(cur)] = true;
+      ++count;
       cur = pred[static_cast<std::size_t>(cur)];
     }
     const i32 score = f[tail] - (cur >= 0 ? f[static_cast<std::size_t>(cur)] : 0);
-    if (members.size() < p.min_count || score < p.min_score) continue;
-    std::reverse(members.begin(), members.end());
+    const bool keep = count >= p.min_count && score >= p.min_score;
+    std::vector<Anchor> members(keep ? count : 0);
+    cur = static_cast<i32>(tail);
+    for (std::size_t m = count; m-- > 0;) {
+      if (keep) members[m] = anchors[static_cast<std::size_t>(cur)];
+      used[static_cast<std::size_t>(cur)] = true;
+      cur = pred[static_cast<std::size_t>(cur)];
+    }
+    if (!keep) continue;
     Chain c;
     c.rid = members.front().rid;
     c.rev = members.front().rev;

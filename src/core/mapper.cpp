@@ -31,13 +31,30 @@ constexpr u64 kGapCellCap = 2'000'000;
 /// are soft-clipped past this (minimap2's z-drop plays the same role).
 constexpr u32 kExtensionCap = 2000;
 
+/// Per-thread buffers Mapper::map reuses from read to read, so a warm
+/// thread allocates nothing per DP call: the seeds, the read's other
+/// orientations (the extensions and fills read them in place), the
+/// reversed reference window of a left extension, and the CIGARs being
+/// stitched.
+struct ReadScratch {
+  std::vector<Minimizer> minimizers;
+  std::vector<Anchor> anchors;
+  std::vector<u8> rc;        ///< reverse complement of the read
+  std::vector<u8> rev[2];    ///< oriented read reversed: [0] forward, [1] rc
+  std::vector<u8> rev_window;
+  Cigar stitch, merged;
+};
+
+ReadScratch& read_scratch() {
+  static thread_local ReadScratch scratch;
+  return scratch;
+}
+
 struct StitchResult {
-  Cigar cigar;
   u64 t_begin = 0;  ///< reference start of the alignment
   u32 q_begin = 0;  ///< oriented-query start
   u32 q_end = 0;    ///< oriented-query end (exclusive)
   u64 t_end = 0;    ///< reference end (exclusive)
-  u64 cells = 0;
 };
 
 }  // namespace
@@ -99,10 +116,11 @@ std::vector<Mapping> Mapper::map(const Sequence& read, const MapCall& call) cons
   if (qlen < opt_.sketch.k) return mappings;
 
   WallTimer seed_timer;
-  const auto query_minimizers = sketch(read.codes, 0, opt_.sketch);
-  const auto anchors = collect_anchors(index_, query_minimizers, qlen, max_occ_);
+  ReadScratch& scratch = read_scratch();
+  sketch(read.codes, 0, opt_.sketch, scratch.minimizers);
+  collect_anchors(index_, scratch.minimizers, qlen, max_occ_, scratch.anchors);
   check_deadline();  // after seeding, before chaining
-  auto chains = chain_anchors(anchors, opt_.chain);
+  auto chains = chain_anchors(scratch.anchors, opt_.chain);
   const double seed_chain_s = seed_timer.seconds();
   if (timings != nullptr) timings->seed_chain_seconds += seed_chain_s;
   if (chains.empty()) return mappings;
@@ -134,7 +152,14 @@ std::vector<Mapping> Mapper::map(const Sequence& read, const MapCall& call) cons
   const u32 k = opt_.sketch.k;
   KernelFn kernel = get_diff_kernel(opt_.layout, opt_.isa);
   MM_REQUIRE(kernel != nullptr, "configured kernel unavailable");
-  const std::vector<u8> rc = reverse_complement(read.codes);
+  // The read in both orientations, and each reversed for left
+  // extensions: reversing the reverse complement gives the complement.
+  scratch.rc.resize(qlen);
+  reverse_complement_into(read.codes.data(), qlen, scratch.rc.data());
+  scratch.rev[0].resize(qlen);
+  std::reverse_copy(read.codes.begin(), read.codes.end(), scratch.rev[0].begin());
+  scratch.rev[1].resize(qlen);
+  std::transform(read.codes.begin(), read.codes.end(), scratch.rev[1].begin(), complement_code);
   u64 total_cells = 0;
   u64 kernel_retries = 0;
   u32 deepest_rung = 0;
@@ -178,13 +203,13 @@ std::vector<Mapping> Mapper::map(const Sequence& read, const MapCall& call) cons
   // `band_hint` is the geometry-derived candidate half-width for this
   // segment (consulted only in auto mode, where it is gated on actually
   // narrowing the matrix before the kernel runs banded).
-  auto run_kernel = [&](const std::vector<u8>& target, const std::vector<u8>& query,
+  auto run_kernel = [&](const u8* target, u64 tlen, const u8* query, u64 qlen_seg,
                         AlignMode mode, i32 band_hint) {
     DiffArgs a;
-    a.target = target.data();
-    a.tlen = static_cast<i32>(target.size());
-    a.query = query.data();
-    a.qlen = static_cast<i32>(query.size());
+    a.target = target;
+    a.tlen = static_cast<i32>(tlen);
+    a.query = query;
+    a.qlen = static_cast<i32>(qlen_seg);
     a.params = opt_.scores;
     a.mode = mode;
     a.with_cigar = with_cigar;
@@ -196,8 +221,7 @@ std::vector<Mapping> Mapper::map(const Sequence& read, const MapCall& call) cons
       // the one a band-hit rerun would give anyway.
       a.band = strip_fills && mode == AlignMode::kGlobal && a.tlen <= kStripMaxRows
                    ? 0
-                   : profitable_band(band_hint, target.size(), query.size(),
-                                     opt_.auto_band);
+                   : profitable_band(band_hint, tlen, qlen_seg, opt_.auto_band);
       a.zdrop = 0;
       if (a.band > 0) {
         ++auto_band_kernels;
@@ -249,6 +273,7 @@ std::vector<Mapping> Mapper::map(const Sequence& read, const MapCall& call) cons
         retry_full = true;
       }
       if (retry_full) {
+        arena.recycle_path(std::move(r.cigar));
         ++band_fallbacks;
         a.band = 0;
         a.zdrop = 0;
@@ -265,8 +290,12 @@ std::vector<Mapping> Mapper::map(const Sequence& read, const MapCall& call) cons
 
   for (const auto& chain : chains) {
     check_deadline();  // per-chain: a slow alignment gives up between chains
-    const auto& q = chain.rev ? rc : read.codes;
+    const std::vector<u8>& q = chain.rev ? scratch.rc : read.codes;
+    const std::vector<u8>& q_rev = scratch.rev[chain.rev ? 1 : 0];
     const auto& contig = ref_.contig(chain.rid);
+    const u8* const t = contig.codes.data();
+    Cigar& cigar = scratch.stitch;
+    cigar.clear();
     StitchResult s;
 
     // Anchors per spanned base — the chain's own estimate of how clean the
@@ -281,8 +310,9 @@ std::vector<Mapping> Mapper::map(const Sequence& read, const MapCall& call) cons
         chain_anchor_density(chain.anchors.size(), span, opt_.auto_band);
 
     // --- middle: anchored k-mer + gap fills between consecutive anchors ---
+    // Fills read the contig and the oriented read in place.
     const Anchor& first = chain.anchors.front();
-    s.cigar.push('M', k);  // first anchor's k-mer matches exactly
+    cigar.push('M', k);  // first anchor's k-mer matches exactly
     u64 t_cursor = first.tpos + 1;  // one past the last aligned ref base
     u32 q_cursor = first.qpos + 1;
     for (std::size_t i = 1; i < chain.anchors.size(); ++i) {
@@ -292,15 +322,15 @@ std::vector<Mapping> Mapper::map(const Sequence& read, const MapCall& call) cons
       if (dt == dq && dt <= k) {
         // k-mers overlap or touch: the in-between bases are inside the
         // matching k-mer of anchor i -> exact matches.
-        s.cigar.push('M', static_cast<u32>(dt));
+        cigar.push('M', static_cast<u32>(dt));
       } else {
         // The gap band candidate: measured per-gap diagonal drift (the
         // net indel imbalance this fill must absorb) plus slack and an
         // indel-rate headroom — not a global constant.
         const u32 drift = static_cast<u32>(dt > dq ? dt - dq : static_cast<u64>(dq) - dt);
         const i32 geo_band = auto_band_for_gap(dt, dq, drift, opt_.auto_band);
-        const auto target = ref_.extract(chain.rid, t_cursor, dt);
-        const std::vector<u8> query(q.begin() + q_cursor, q.begin() + q_cursor + dq);
+        const u8* const target = t + t_cursor;
+        const u8* const query = q.data() + q_cursor;
         const i32 gap_band = band_mode == BandMode::kFixed ? eff_band : geo_band;
         if (dt * dq > kGapCellCap &&
             profitable_band(gap_band, dt, dq, opt_.auto_band) > 0) {
@@ -311,19 +341,20 @@ std::vector<Mapping> Mapper::map(const Sequence& read, const MapCall& call) cons
           // fixed band keeps overriding it. When the gap geometry exceeds
           // what a band can exclude, fall through to the normal kernel.
           BandedArgs ba;
-          ba.target = target.data();
-          ba.tlen = static_cast<i32>(target.size());
-          ba.query = query.data();
-          ba.qlen = static_cast<i32>(query.size());
+          ba.target = target;
+          ba.tlen = static_cast<i32>(dt);
+          ba.query = query;
+          ba.qlen = static_cast<i32>(dq);
           ba.params = opt_.scores;
           ba.band = gap_band;
           ba.with_cigar = with_cigar;
           const auto r = banded_global_align(ba);
           total_cells += r.cells;
-          append_cigar(s.cigar, r.cigar);
+          append_cigar(cigar, r.cigar);
         } else {
-          const auto r = run_kernel(target, query, AlignMode::kGlobal, geo_band);
-          append_cigar(s.cigar, r.cigar);
+          auto r = run_kernel(target, dt, query, dq, AlignMode::kGlobal, geo_band);
+          append_cigar(cigar, r.cigar);
+          arena.recycle_path(std::move(r.cigar));
         }
       }
       t_cursor = a.tpos + 1;
@@ -331,6 +362,8 @@ std::vector<Mapping> Mapper::map(const Sequence& read, const MapCall& call) cons
     }
 
     // --- left extension: before the first anchor's k-mer ---
+    // Both sides run backwards from the k-mer: the query is the reversed
+    // oriented read in place, the target a reversed copy of the window.
     const u64 kmer_t_start = first.tpos + 1 - k;
     const u32 kmer_q_start = first.qpos + 1 - k;
     s.t_begin = kmer_t_start;
@@ -341,22 +374,24 @@ std::vector<Mapping> Mapper::map(const Sequence& read, const MapCall& call) cons
       const u32 ext = std::min<u32>(kmer_q_start, kExtensionCap);
       const u64 window =
           std::min<u64>(kmer_t_start, static_cast<u64>(ext) + opt_.end_bonus_window);
-      std::vector<u8> target = ref_.extract(chain.rid, kmer_t_start - window, window);
-      std::reverse(target.begin(), target.end());
-      std::vector<u8> query(q.rend() - kmer_q_start, q.rend() - kmer_q_start + ext);
-      const auto r = run_kernel(
-          target, query, AlignMode::kExtension,
+      std::vector<u8>& target = scratch.rev_window;
+      target.resize(window);
+      std::reverse_copy(t + (kmer_t_start - window), t + kmer_t_start, target.begin());
+      auto r = run_kernel(
+          target.data(), window, q_rev.data() + (qlen - kmer_q_start), ext,
+          AlignMode::kExtension,
           auto_band_for_extension(window, ext, anchor_density, opt_.auto_band));
       if (r.q_end >= 0) {
-        Cigar left = r.cigar;
-        left.reverse();
-        Cigar merged;
-        append_cigar(merged, left);
-        append_cigar(merged, s.cigar);
-        s.cigar = std::move(merged);
+        Cigar& merged = scratch.merged;
+        merged.clear();
+        for (auto op = r.cigar.ops().rbegin(); op != r.cigar.ops().rend(); ++op)
+          merged.push(op->op, op->len);
+        append_cigar(merged, cigar);
+        std::swap(cigar, merged);
         s.t_begin = kmer_t_start - static_cast<u64>(r.t_end + 1);
         s.q_begin = kmer_q_start - static_cast<u32>(r.q_end + 1);
       }
+      arena.recycle_path(std::move(r.cigar));
     }
 
     // --- right extension: after the last anchor's k-mer ---
@@ -367,16 +402,15 @@ std::vector<Mapping> Mapper::map(const Sequence& read, const MapCall& call) cons
       const u32 tail = std::min<u32>(qlen - s.q_end, kExtensionCap);
       const u64 window =
           std::min<u64>(contig.size() - s.t_end, static_cast<u64>(tail) + opt_.end_bonus_window);
-      const auto target = ref_.extract(chain.rid, s.t_end, window);
-      const std::vector<u8> query(q.begin() + s.q_end, q.begin() + s.q_end + tail);
-      const auto r = run_kernel(
-          target, query, AlignMode::kExtension,
+      auto r = run_kernel(
+          t + s.t_end, window, q.data() + s.q_end, tail, AlignMode::kExtension,
           auto_band_for_extension(window, tail, anchor_density, opt_.auto_band));
       if (r.q_end >= 0) {
-        append_cigar(s.cigar, r.cigar);
+        append_cigar(cigar, r.cigar);
         s.t_end += static_cast<u64>(r.t_end + 1);
         s.q_end += static_cast<u32>(r.q_end + 1);
       }
+      arena.recycle_path(std::move(r.cigar));
     }
 
     // --- assemble the mapping record ---
@@ -399,24 +433,12 @@ std::vector<Mapping> Mapper::map(const Sequence& read, const MapCall& call) cons
       m.qend = s.q_end;
     }
     if (with_cigar) {
-      m.cigar = std::move(s.cigar);
-      // Exact rescoring and match counting from the final path.
-      m.score = m.cigar.score(contig.codes, q, s.t_begin, s.q_begin, opt_.scores);
-      u64 ti = s.t_begin;
-      u32 qi = s.q_begin;
-      for (const auto& op : m.cigar.ops()) {
-        m.align_length += op.len;
-        if (op.op == 'M') {
-          for (u32 x = 0; x < op.len; ++x)
-            if (contig.codes[ti + x] == q[qi + x] && contig.codes[ti + x] < 4) ++m.matches;
-          ti += op.len;
-          qi += op.len;
-        } else if (op.op == 'D') {
-          ti += op.len;
-        } else {
-          qi += op.len;
-        }
-      }
+      m.cigar = cigar;
+      // Exact rescoring and match counting from the final path, in one pass.
+      const PathStats st = m.cigar.stats(contig.codes, q, s.t_begin, s.q_begin, opt_.scores);
+      m.score = st.score;
+      m.matches = st.matches;
+      m.align_length = st.length;
     } else {
       m.score = chain.score;
       m.align_length = std::max<u64>(m.tend - m.tstart, m.qend - m.qstart);

@@ -13,9 +13,17 @@
 //     complement (a palindrome has no canonical strand);
 //   - a window with no valid k-mer selects nothing, and a minimizer that
 //     several consecutive windows select is emitted once.
-// sketch() keeps the current window minimum and rescans the w slots only
-// when that minimum leaves the window, as minimap2's mm_sketch does:
-// amortized O(1) per base on non-degenerate sequence.
+// sketch() runs three passes over blocks of kSketchBlock bases, carrying
+// the last w-1 keys from block to block:
+//   1. a rolling pass that turns each position into its canonical k-mer
+//      (or "none") and strand;
+//   2. a lane-parallel invertible_hash pass over that block;
+//   3. a window pass: on AVX-512 with w <= 32, eight windows at a time
+//      (minimum of w shifted loads, then the rightmost position holding
+//      it); otherwise the current minimum kept with selects and the w keys
+//      rescanned only when it leaves the window (as minimap2's mm_sketch
+//      does, ~2/(w+1) of the bases). Every window writes its candidate
+//      unconditionally and the output advances only on a new one.
 #pragma once
 
 #include <vector>
@@ -36,7 +44,7 @@ struct Minimizer {
 struct SketchParams {
   static constexpr u32 kMinK = 4;
   static constexpr u32 kMaxK = 28;   ///< 2k bits fit in u64 with headroom
-  static constexpr u32 kMaxW = 256;  ///< sketch() keeps a fixed w-slot ring
+  static constexpr u32 kMaxW = 256;  ///< sketch() carries w-1 keys in fixed arrays
 
   u32 k = 15;  ///< k-mer size
   u32 w = 10;  ///< window size
@@ -48,10 +56,25 @@ struct SketchParams {
 };
 
 /// Thomas Wang's 64-bit invertible integer hash (minimap2's hash64).
-u64 invertible_hash(u64 key, u64 mask);
+inline u64 invertible_hash(u64 key, u64 mask) {
+  key = (~key + (key << 21)) & mask;
+  key = key ^ (key >> 24);
+  key = ((key + (key << 3)) + (key << 8)) & mask;
+  key = key ^ (key >> 14);
+  key = ((key + (key << 2)) + (key << 4)) & mask;
+  key = key ^ (key >> 28);
+  key = (key + (key << 31)) & mask;
+  return key;
+}
+
+/// Bases per sketch() pass block.
+inline constexpr std::size_t kSketchBlock = 512;
 
 /// Extract the minimizers of `seq` (codes) by the rule above. Returns
 /// minimizers ordered by position. Requires p.valid().
 std::vector<Minimizer> sketch(const std::vector<u8>& seq, u32 rid, const SketchParams& p);
+/// The same into `out` (cleared first; its storage is reused).
+void sketch(const std::vector<u8>& seq, u32 rid, const SketchParams& p,
+            std::vector<Minimizer>& out);
 
 }  // namespace manymap

@@ -23,6 +23,17 @@ inline char base_char(u8 code) { return kCodeToAscii[code <= kBaseN ? code : kBa
 /// Complement of a base code; N stays N.
 inline u8 complement_code(u8 code) { return code < 4 ? static_cast<u8>(3 - code) : kBaseN; }
 
+/// Encode `n` ASCII bases into `out` (n bytes), exactly as kAsciiToCode
+/// would: 64 bytes per step with SSE2 compares, then 16-byte steps (the
+/// last one overlapping), and the table for inputs under 16 bytes.
+/// Every sequence reader (FASTA, FASTQ, from_ascii) decodes through it.
+void encode_bases(const char* ascii, std::size_t n, u8* out);
+/// Number of positions i < n with a[i] == b[i] and a[i] not N (a vector
+/// compare per 16 bases).
+std::size_t count_matches(const u8* a, const u8* b, std::size_t n);
+/// Reverse complement of codes[0, n) into out[0, n).
+void reverse_complement_into(const u8* codes, std::size_t n, u8* out);
+
 /// Encode an ASCII sequence into base codes.
 std::vector<u8> encode_dna(std::string_view ascii);
 /// Decode base codes back to ASCII.

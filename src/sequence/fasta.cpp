@@ -2,9 +2,13 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
+
+#include "io/mapped_file.hpp"
 
 namespace manymap {
 
@@ -21,56 +25,107 @@ std::string first_token(std::string_view s) {
   return std::string(s.substr(0, i));
 }
 
+/// Line cursor over a text: each next() is one memchr for the newline.
+/// Like a getline loop, text ending in '\n' yields one last empty line.
+struct Lines {
+  std::string_view text;
+  std::size_t pos = 0;
+
+  bool next(std::string_view& line) {
+    if (pos > text.size()) return false;
+    std::size_t end = text.size();
+    if (pos < end)
+      if (const void* nl = std::memchr(text.data() + pos, '\n', end - pos))
+        end = static_cast<const char*>(nl) - text.data();
+    line = strip_cr(text.substr(pos, end - pos));
+    pos = end + 1;
+    return true;
+  }
+};
+
+std::vector<Sequence> parse_stream(std::FILE* f) {
+  // One read into a string sized from the file, then drain anything past
+  // that size (a pipe reports 0 bytes, a file may still be growing).
+  std::string text;
+  struct stat st {};
+  if (::fstat(::fileno(f), &st) == 0 && st.st_size > 0)
+    text.resize(static_cast<std::size_t>(st.st_size));
+  text.resize(std::fread(text.data(), 1, text.size(), f));
+  char chunk[1 << 16];
+  for (std::size_t got; (got = std::fread(chunk, 1, sizeof chunk, f)) > 0;)
+    text.append(chunk, got);
+  MM_REQUIRE(!std::ferror(f), "cannot read sequence file");
+  return parse_sequences(text);
+}
+
 }  // namespace
+
+SequenceFormatError::SequenceFormatError(u64 record, const std::string& reason)
+    : std::runtime_error("FASTQ record " + std::to_string(record) + ": " + reason),
+      record_(record) {}
 
 std::vector<Sequence> parse_fasta(std::string_view text) {
   std::vector<Sequence> out;
-  std::string current_ascii;
-  std::string current_name;
-  bool in_record = false;
-  auto flush = [&] {
-    if (in_record) out.push_back(Sequence::from_ascii(current_name, current_ascii));
-    current_ascii.clear();
-  };
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t nl = text.find('\n', pos);
-    std::string_view line =
-        strip_cr(text.substr(pos, (nl == std::string_view::npos ? text.size() : nl) - pos));
-    if (!line.empty()) {
-      if (line[0] == '>') {
-        flush();
-        in_record = true;
-        current_name = first_token(line.substr(1));
-      } else if (in_record) {
-        current_ascii.append(line);
+  Lines lines{text};
+  std::string_view line;
+  bool header = false;  // `line` holds a header still to be parsed
+  while (!header && lines.next(line)) header = !line.empty() && line[0] == '>';
+  while (header) {
+    Sequence s;
+    s.name = first_token(line.substr(1));
+    // The record runs to the next line that starts with '>': its bytes
+    // bound its bases, so the codes are sized once and trimmed at the end.
+    const std::size_t body = std::min(lines.pos, text.size());
+    std::size_t body_end = body;
+    while (body_end < text.size()) {
+      const void* gt = std::memchr(text.data() + body_end, '>', text.size() - body_end);
+      if (gt == nullptr) {
+        body_end = text.size();
+      } else {
+        body_end = static_cast<const char*>(gt) - text.data();
+        if (text[body_end - 1] == '\n') break;  // body >= 1 follows the header's newline
+        ++body_end;
       }
     }
-    if (nl == std::string_view::npos) break;
-    pos = nl + 1;
+    s.codes.resize(body_end - body);
+    std::size_t n = 0;
+    header = false;
+    while (!header && lines.next(line)) {
+      if (line.empty()) continue;
+      header = line[0] == '>';
+      if (!header) {
+        encode_bases(line.data(), line.size(), s.codes.data() + n);
+        n += line.size();
+      }
+    }
+    s.codes.resize(n);
+    out.push_back(std::move(s));
   }
-  flush();
   return out;
 }
 
 std::vector<Sequence> parse_fastq(std::string_view text) {
   std::vector<Sequence> out;
-  std::size_t pos = 0;
-  auto next_line = [&](std::string_view& line) -> bool {
-    if (pos > text.size()) return false;
-    const std::size_t nl = text.find('\n', pos);
-    line = strip_cr(text.substr(pos, (nl == std::string_view::npos ? text.size() : nl) - pos));
-    pos = (nl == std::string_view::npos) ? text.size() + 1 : nl + 1;
-    return true;
-  };
+  Lines lines{text};
   std::string_view header, seq, plus, qual;
-  while (next_line(header)) {
+  u64 record = 0;
+  while (lines.next(header)) {
     if (header.empty()) continue;
-    MM_REQUIRE(header[0] == '@', "FASTQ record must start with '@'");
-    const bool ok = next_line(seq) && next_line(plus) && next_line(qual);
-    MM_REQUIRE(ok, "truncated FASTQ record");
-    MM_REQUIRE(!plus.empty() && plus[0] == '+', "FASTQ separator line must start with '+'");
-    Sequence s = Sequence::from_ascii(first_token(header.substr(1)), seq);
+    ++record;
+    if (header[0] != '@')
+      throw SequenceFormatError(record, "header line does not start with '@'");
+    if (!(lines.next(seq) && lines.next(plus) && lines.next(qual)))
+      throw SequenceFormatError(record, "truncated record");
+    if (plus.empty() || plus[0] != '+')
+      throw SequenceFormatError(record, "separator line does not start with '+'");
+    if (qual.size() != seq.size())
+      throw SequenceFormatError(record, "quality length " + std::to_string(qual.size()) +
+                                            " differs from sequence length " +
+                                            std::to_string(seq.size()));
+    Sequence s;
+    s.name = first_token(header.substr(1));
+    s.codes.resize(seq.size());
+    encode_bases(seq.data(), seq.size(), s.codes.data());
     s.qual = std::string(qual);
     out.push_back(std::move(s));
   }
@@ -86,21 +141,15 @@ std::vector<Sequence> parse_sequences(std::string_view text) {
 }
 
 std::vector<Sequence> read_sequence_file(const std::string& path) {
+  struct stat st {};
+  if (::stat(path.c_str(), &st) == 0 && S_ISREG(st.st_mode) && st.st_size > 0) {
+    MappedFile f;
+    if (f.open(path)) return parse_sequences(f.view());
+  }
   const std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(std::fopen(path.c_str(), "rb"),
                                                           &std::fclose);
   MM_REQUIRE(f != nullptr, "cannot open sequence file");
-  // One read into a string sized from the file, then drain anything past
-  // that size (a pipe reports 0 bytes, a file may still be growing).
-  std::string text;
-  struct stat st {};
-  if (::fstat(::fileno(f.get()), &st) == 0 && st.st_size > 0)
-    text.resize(static_cast<std::size_t>(st.st_size));
-  text.resize(std::fread(text.data(), 1, text.size(), f.get()));
-  char chunk[1 << 16];
-  for (std::size_t got; (got = std::fread(chunk, 1, sizeof chunk, f.get())) > 0;)
-    text.append(chunk, got);
-  MM_REQUIRE(!std::ferror(f.get()), "cannot read sequence file");
-  return parse_sequences(text);
+  return parse_stream(f.get());
 }
 
 std::string to_fasta(const std::vector<Sequence>& seqs, std::size_t width) {

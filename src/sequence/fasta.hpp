@@ -1,9 +1,10 @@
 // Minimal FASTA/FASTQ reading and writing. The readers accept both
-// in-memory strings and files; the query-loading experiments (Table 2 /
-// §4.4.2) also go through io/MappedFile.
+// in-memory strings and files; files are memory-mapped (paper §4.4.2)
+// when they are regular files.
 #pragma once
 
 #include <iosfwd>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -11,15 +12,32 @@
 
 namespace manymap {
 
+/// A malformed FASTQ record: its 1-based number in the file and the
+/// reason, both also in what() ("FASTQ record 2: ...").
+class SequenceFormatError : public std::runtime_error {
+ public:
+  SequenceFormatError(u64 record, const std::string& reason);
+  u64 record() const { return record_; }
+
+ private:
+  u64 record_;
+};
+
 /// Parse all records from FASTA text. Multi-line sequences supported.
 std::vector<Sequence> parse_fasta(std::string_view text);
-/// Parse all records from FASTQ text (4-line records).
+/// Parse all records from FASTQ text (4-line records). Throws
+/// SequenceFormatError for a header without '@', a separator without
+/// '+', a truncated record, or a quality string whose length differs
+/// from the sequence's.
 std::vector<Sequence> parse_fastq(std::string_view text);
 
 /// Auto-detect FASTA vs FASTQ by leading character ('>' vs '@').
 std::vector<Sequence> parse_sequences(std::string_view text);
 
-/// Read a whole file and parse; MM_REQUIREs the file exists.
+/// Read a whole file and parse it. Regular files are mapped and parsed in
+/// place (the mapping is gone when this returns); pipes, FIFOs and files
+/// that cannot be mapped are read through a buffer. MM_REQUIREs the file
+/// exists; throws SequenceFormatError like parse_fastq.
 std::vector<Sequence> read_sequence_file(const std::string& path);
 
 /// Serialize to FASTA with the given line width (0 = single line).

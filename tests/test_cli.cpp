@@ -282,6 +282,46 @@ TEST(Cli, UsageOnBadInvocation) {
   EXPECT_NE(run_cli("frobnicate"), 0);
 }
 
+// A missing positional argument is a usage error like a bad option: the
+// usage text and exit 2, never an abort.
+TEST(Cli, MissingPositionalArgumentsPrintUsage) {
+  const std::string err = tmp("cli_missing.err");
+  for (const char* args : {"index", "index only.fa", "map", "map only.fa", "simulate",
+                           "simulate only.fa", "map a.fa b.fq extra.fq"}) {
+    const int status = run_cli_stderr(args, err);
+    ASSERT_TRUE(WIFEXITED(status)) << args;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << args;
+    EXPECT_NE(slurp(err).find("usage:"), std::string::npos) << args;
+  }
+}
+
+// A malformed read file is reported with its record number and exit 1.
+TEST(Cli, MalformedFastqExitsOneNamingTheRecord) {
+  const std::string ref = tmp("cli_badfq_ref.fa");
+  const std::string reads = tmp("cli_badfq_reads.fq");
+  const std::string bad = tmp("cli_badfq_bad.fq");
+  const std::string err = tmp("cli_badfq.err");
+  ASSERT_EQ(run_cli("simulate " + ref + " " + reads + " --length 50000 --reads 3"), 0);
+  {
+    std::ofstream out(bad);
+    out << "@r1\nACGTACGT\n+\nIIIIIIII\nr2\nACGT\n+\nIIII\n";
+  }
+  for (const char* flags : {"", " --no-mmap", " --threads 1"}) {
+    const int status = run_cli_stderr("map " + ref + " " + bad + flags + " > /dev/null", err);
+    ASSERT_TRUE(WIFEXITED(status)) << flags;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << flags;
+    EXPECT_NE(slurp(err).find("FASTQ record 2"), std::string::npos) << slurp(err);
+  }
+  {
+    std::ofstream out(bad);
+    out << "@r1\nACGTACGT\n+\nIIII\n";  // quality shorter than the sequence
+  }
+  const int status = run_cli_stderr("map " + ref + " " + bad + " > /dev/null", err);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 1);
+  EXPECT_NE(slurp(err).find("FASTQ record 1"), std::string::npos) << slurp(err);
+}
+
 // Numeric option validation: zero, negative, or malformed values are
 // config errors answered with the usage message (exit 2), never a silent
 // clamp or a crash. One shared simulate output keeps this fast.

@@ -23,7 +23,7 @@ std::vector<u8> random_seq(u64 seed, std::size_t n) {
 
 /// The O(n*w) scan sketch() used to run: every window end rescans all w
 /// ring slots. Kept here, verbatim in its selection logic, as the oracle
-/// the amortized sketcher must match minimizer for minimizer.
+/// the block-pass sketcher must match minimizer for minimizer.
 std::vector<Minimizer> sketch_oracle(const std::vector<u8>& seq, u32 rid, const SketchParams& p) {
   std::vector<Minimizer> out;
   const std::size_t n = seq.size();
@@ -122,6 +122,18 @@ TEST(Minimizer, MatchesQuadraticOracle) {
           ++cases;
           minimizers += want.size();
         }
+      }
+      // Across sketch()'s pass blocks: windows that straddle the w-1 keys
+      // carried over one or two block edges, and a last block shorter than
+      // the carry. One input kind per (k, w) keeps the O(n*w) oracle quick.
+      for (const std::size_t n :
+           {kSketchBlock - 1, kSketchBlock, kSketchBlock + 1, kSketchBlock + w - 1,
+            kSketchBlock + w, 2 * kSketchBlock + 1 + rng.uniform(w)}) {
+        const auto s = stress_seq(rng, n, static_cast<int>((k + w) % 5));
+        const auto want = sketch_oracle(s, 7, p);
+        ASSERT_EQ(sketch(s, 7, p), want) << "k=" << k << " w=" << w << " n=" << n;
+        ++cases;
+        minimizers += want.size();
       }
     }
   }

@@ -3,9 +3,12 @@
 #include <sys/stat.h>
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <utility>
+
+#include "base/random.hpp"
 
 #include "sequence/dna.hpp"
 #include "sequence/fasta.hpp"
@@ -24,6 +27,46 @@ TEST(Dna, EncodeDecodeRoundTrip) {
   EXPECT_EQ(codes[3], 3);
   EXPECT_EQ(codes[4], kBaseN);
   EXPECT_EQ(decode_dna(codes), "ACGTNACGTN");
+}
+
+TEST(Dna, BlockDecoderMatchesTheTableForEveryByte) {
+  // Every byte value at every position of a 64-byte block and of the
+  // scalar tail, at lengths 0..130 and misaligned starts; bytes past n
+  // stay untouched.
+  std::string text(512, '\0');
+  for (std::size_t i = 0; i < text.size(); ++i)
+    text[i] = static_cast<char>((i * 7 + i / 256) & 0xff);
+  std::vector<u8> out(160);
+  for (std::size_t start = 0; start < 256; start += 3) {
+    for (std::size_t n = 0; n <= 130; ++n) {
+      std::fill(out.begin(), out.end(), 0xee);
+      encode_bases(text.data() + start, n, out.data() + 1);
+      ASSERT_EQ(out[0], 0xee);
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(out[1 + i], kAsciiToCode[static_cast<u8>(text[start + i])])
+            << "start " << start << " n " << n << " i " << i;
+      ASSERT_EQ(out[1 + n], 0xee) << "start " << start << " n " << n;
+    }
+  }
+}
+
+TEST(Dna, CountMatchesAndReverseComplementMatchTheScalarRules) {
+  Rng rng(17);
+  for (std::size_t n = 0; n <= 100; ++n) {
+    std::vector<u8> a(n + 3), b(n + 3);
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      a[i] = static_cast<u8>(rng.uniform(5));
+      b[i] = rng.bernoulli(0.7) ? a[i] : static_cast<u8>(rng.uniform(5));
+    }
+    for (std::size_t off = 0; off < 3; ++off) {
+      std::size_t want = 0;
+      for (std::size_t i = 0; i < n; ++i) want += a[off + i] == b[off + i] && a[off + i] < 4;
+      EXPECT_EQ(count_matches(a.data() + off, b.data() + off, n), want);
+    }
+    std::vector<u8> rc(n);
+    reverse_complement_into(a.data(), n, rc.data());
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(rc[n - 1 - i], complement_code(a[i]));
+  }
 }
 
 TEST(Dna, UnknownCharsMapToN) {
@@ -116,6 +159,122 @@ TEST(Fastq, AutoDetect) {
   EXPECT_EQ(parse_sequences(">a\nAC\n")[0].name, "a");
   EXPECT_EQ(parse_sequences("@b\nAC\n+\nII\n")[0].name, "b");
   EXPECT_TRUE(parse_sequences("").empty());
+}
+
+/// The line-by-line FASTA reader the single-pass parser replaced: the
+/// oracle it must match record for record.
+std::vector<Sequence> parse_fasta_by_lines(std::string_view text) {
+  std::vector<Sequence> out;
+  std::string ascii, name;
+  bool in_record = false;
+  auto flush = [&] {
+    if (in_record) out.push_back(Sequence::from_ascii(name, ascii));
+    ascii.clear();
+  };
+  std::size_t pos = 0;
+  while (pos <= text.size()) {
+    const std::size_t nl = text.find('\n', pos);
+    std::string_view line =
+        text.substr(pos, (nl == std::string_view::npos ? text.size() : nl) - pos);
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    if (!line.empty()) {
+      if (line[0] == '>') {
+        flush();
+        in_record = true;
+        const std::size_t end = line.find_first_of(" \t");
+        name = std::string(line.substr(1, end == std::string_view::npos ? end : end - 1));
+      } else if (in_record) {
+        ascii.append(line);
+      }
+    }
+    if (nl == std::string_view::npos) break;
+    pos = nl + 1;
+  }
+  flush();
+  return out;
+}
+
+TEST(Fasta, SinglePassParserMatchesTheLineReader) {
+  // Random line structure: CRLF, blank lines, empty records, text before
+  // the first header, '>' inside a line, a last line with or without its
+  // newline, and bases of every kind.
+  Rng rng(23);
+  const std::string alphabet = "ACGTacgtNnuU-*>x ";
+  for (int round = 0; round < 400; ++round) {
+    std::string text;
+    if (rng.bernoulli(0.2)) text += "junk before\n";
+    const int records = static_cast<int>(rng.uniform(4));
+    for (int r = 0; r < records; ++r) {
+      text += ">r" + std::to_string(r) + (rng.bernoulli(0.5) ? " desc\tx" : "");
+      text += rng.bernoulli(0.3) ? "\r\n" : "\n";
+      for (u64 lines = rng.uniform(5); lines > 0; --lines) {
+        for (u64 b = rng.uniform(90); b > 0; --b) text += alphabet[rng.uniform(alphabet.size())];
+        if (rng.bernoulli(0.2)) text += "\r";
+        text += "\n";
+        if (rng.bernoulli(0.1)) text += "\n";
+      }
+    }
+    if (!text.empty() && rng.bernoulli(0.3)) text.pop_back();
+    const auto want = parse_fasta_by_lines(text);
+    const auto got = parse_fasta(text);
+    ASSERT_EQ(got.size(), want.size()) << text;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].name, want[i].name) << text;
+      EXPECT_EQ(got[i].codes, want[i].codes) << text;
+    }
+  }
+  ASSERT_EQ(parse_fasta(">only").size(), 1u);  // a header with no newline
+  EXPECT_EQ(parse_fasta(">only")[0].name, "only");
+}
+
+/// The record number and reason a malformed FASTQ is rejected with.
+std::pair<u64, std::string> fastq_error(std::string_view text) {
+  try {
+    parse_fastq(text);
+  } catch (const SequenceFormatError& e) {
+    return {e.record(), e.what()};
+  }
+  return {0, ""};
+}
+
+TEST(Fastq, MalformedRecordsRaiseTypedErrors) {
+  const std::string good = "@r1\nACGT\n+\nIIII\n";
+  auto [rec, what] = fastq_error(good + "r2\nAC\n+\nII\n");
+  EXPECT_EQ(rec, 2u);
+  EXPECT_NE(what.find("FASTQ record 2"), std::string::npos) << what;
+  EXPECT_NE(what.find("'@'"), std::string::npos) << what;
+
+  std::tie(rec, what) = fastq_error(good + "@r2\nAC\n-\nII\n");
+  EXPECT_EQ(rec, 2u);
+  EXPECT_NE(what.find("'+'"), std::string::npos) << what;
+
+  std::tie(rec, what) = fastq_error(good + good + "@r3\nAC\n+");
+  EXPECT_EQ(rec, 3u);
+  EXPECT_NE(what.find("truncated"), std::string::npos) << what;
+
+  std::tie(rec, what) = fastq_error("@r1\nACGTACGTAC\n+\nIIII\n");
+  EXPECT_EQ(rec, 1u);
+  EXPECT_NE(what.find("quality length 4 differs from sequence length 10"), std::string::npos)
+      << what;
+
+  std::tie(rec, what) = fastq_error(good + "@r2\nACGT\n+\n");  // quality line missing
+  EXPECT_EQ(rec, 2u);
+
+  // Blank lines between records are not records; CRLF lines are fine.
+  EXPECT_EQ(parse_fastq("\n" + good + "\n\n@r2\r\nAC\r\n+\r\nII\r\n").size(), 2u);
+  EXPECT_EQ(fastq_error(good).first, 0u);
+}
+
+TEST(SequenceFile, MappedFileRaisesTheSameTypedError) {
+  const std::string path = ::testing::TempDir() + "/mm_bad_record.fq";
+  { std::ofstream(path) << "@r1\nACGT\n+\nIIII\nr2\nAC\n+\nII\n"; }
+  try {
+    read_sequence_file(path);
+    ADD_FAILURE() << "no SequenceFormatError";
+  } catch (const SequenceFormatError& e) {
+    EXPECT_EQ(e.record(), 2u);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(SequenceFile, ReadsWholeFileLikeTheParser) {

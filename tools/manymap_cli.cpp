@@ -94,15 +94,14 @@ ArgList parse_args(int argc, char** argv, const std::vector<std::string>& flags)
   return out;
 }
 
+/// Mapped (read_sequence_file) or buffered (--no-mmap) load; a malformed
+/// record throws SequenceFormatError, which main() reports with exit 1.
+std::vector<Sequence> load_sequences(const std::string& path, bool use_mmap) {
+  return use_mmap ? read_sequence_file(path) : parse_sequences(read_file(path));
+}
+
 Reference load_reference(const std::string& path, bool use_mmap) {
-  std::vector<Sequence> contigs;
-  if (use_mmap) {
-    MappedFile f;
-    MM_REQUIRE(f.open(path), "cannot open reference");
-    contigs = parse_sequences(f.view());
-  } else {
-    contigs = read_sequence_file(path);
-  }
+  std::vector<Sequence> contigs = load_sequences(path, use_mmap);
   MM_REQUIRE(!contigs.empty(), "reference has no sequences");
   Reference ref;
   for (auto& c : contigs) ref.add(std::move(c));
@@ -110,7 +109,7 @@ Reference load_reference(const std::string& path, bool use_mmap) {
 }
 
 int cmd_index(const ArgList& args) {
-  MM_REQUIRE(args.positional.size() == 2, "usage: manymap index <ref.fa> <out.mmi>");
+  if (args.positional.size() != 2) return usage();
   const auto k = positive_opt(args, "k", 15);
   const auto w = positive_opt(args, "w", 10);
   if (!k || !w) return usage();
@@ -135,7 +134,7 @@ int cmd_index(const ArgList& args) {
 }
 
 int cmd_map(const ArgList& args) {
-  MM_REQUIRE(args.positional.size() == 2, "usage: manymap map <ref.fa> <reads.fq> [options]");
+  if (args.positional.size() != 2) return usage();
   const bool use_mmap = !args.has("no-mmap");
   const Reference ref = load_reference(args.positional[0], use_mmap);
 
@@ -176,14 +175,7 @@ int cmd_map(const ArgList& args) {
     index = std::move(res.index);
   }
 
-  std::vector<Sequence> reads;
-  if (use_mmap) {
-    MappedFile f;
-    MM_REQUIRE(f.open(args.positional[1]), "cannot open reads");
-    reads = parse_sequences(f.view());
-  } else {
-    reads = read_sequence_file(args.positional[1]);
-  }
+  const std::vector<Sequence> reads = load_sequences(args.positional[1], use_mmap);
 
   Aligner aligner =
       args.has("index") ? Aligner(ref, std::move(index), opt) : Aligner(ref, opt);
@@ -217,8 +209,7 @@ int cmd_map(const ArgList& args) {
 }
 
 int cmd_simulate(const ArgList& args) {
-  MM_REQUIRE(args.positional.size() == 2,
-             "usage: manymap simulate <out_ref.fa> <out_reads.fq> [options]");
+  if (args.positional.size() != 2) return usage();
   const auto length = positive_opt(args, "length", 1'000'000);
   const auto contigs_n = positive_opt(args, "contigs", 2);
   const auto reads_n = positive_opt(args, "reads", 500);
@@ -268,8 +259,13 @@ int main(int argc, char** argv) {
   const std::string cmd = argv[1];
   const std::vector<std::string> flags{"sam", "cigar", "no-mmap"};
   const ArgList args = parse_args(argc - 2, argv + 2, flags);
-  if (cmd == "index") return cmd_index(args);
-  if (cmd == "map") return cmd_map(args);
-  if (cmd == "simulate") return cmd_simulate(args);
+  try {
+    if (cmd == "index") return cmd_index(args);
+    if (cmd == "map") return cmd_map(args);
+    if (cmd == "simulate") return cmd_simulate(args);
+  } catch (const SequenceFormatError& e) {
+    std::fprintf(stderr, "manymap: %s\n", e.what());
+    return 1;
+  }
   return usage();
 }

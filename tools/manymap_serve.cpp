@@ -238,18 +238,22 @@ int main(int argc, char** argv) {
 
   // 1. Workload: reference + reads, loaded or simulated (fixed seed).
   Reference ref;
-  if (args.has("ref")) {
-    for (auto& c : read_sequence_file(args.get("ref", ""))) ref.add(std::move(c));
-  } else {
+  std::vector<Sequence> reads;
+  try {
+    if (args.has("ref"))
+      for (auto& c : read_sequence_file(args.get("ref", ""))) ref.add(std::move(c));
+    if (args.has("reads-file")) reads = read_sequence_file(args.get("reads-file", ""));
+  } catch (const SequenceFormatError& e) {
+    std::fprintf(stderr, "manymap_serve: %s\n", e.what());
+    return 1;
+  }
+  if (!args.has("ref")) {
     GenomeParams gp;
     gp.total_length = static_cast<u64>(*length_opt);
     gp.seed = seed;
     ref = generate_genome(gp);
   }
-  std::vector<Sequence> reads;
-  if (args.has("reads-file")) {
-    reads = read_sequence_file(args.get("reads-file", ""));
-  } else {
+  if (!args.has("reads-file")) {
     ReadSimParams rp;
     rp.profile = args.get("platform", "pacbio") == "nanopore" ? ErrorProfile::nanopore()
                                                               : ErrorProfile::pacbio();
