@@ -85,10 +85,6 @@ i64 Cigar::score(const std::vector<u8>& target, const std::vector<u8>& query, u6
   return total;
 }
 
-}  // namespace manymap
-
-namespace manymap {
-
 PathStats Cigar::stats(std::span<const u8> target, std::span<const u8> query, u64 t_off,
                        u64 q_off, const ScoreParams& params) const {
   PathStats st;

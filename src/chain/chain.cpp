@@ -73,7 +73,7 @@ std::vector<Chain> chain_anchors(const std::vector<Anchor>& anchors, const Chain
     if (used[tail] || f[tail] < p.min_score) continue;
     // Walk back until the start of the chain or an anchor already claimed
     // by a better chain; a truncated suffix only keeps its marginal score.
-    // The first walk sizes the members, the second fills them front to back.
+    // The first walk sizes the members, the second stores them back to front.
     std::size_t count = 0;
     i32 cur = static_cast<i32>(tail);
     while (cur >= 0 && !used[static_cast<std::size_t>(cur)]) {

@@ -74,7 +74,7 @@ void encode_bases(const char* ascii, std::size_t n, u8* out) {
     // The rest in 16-byte steps, the last one ending at n: it may redo
     // bytes already written, with the same values.
     for (; i + 16 < n; i += 16) step(i);
-    step(n - 16);
+    if (i < n) step(n - 16);
     return;
   }
 #endif
