@@ -16,15 +16,8 @@ constexpr std::size_t kPrefetchDistance = 16;
 std::vector<Anchor> collect_anchors(const MinimizerIndex& index,
                                     const std::vector<Minimizer>& query_minimizers, u32 qlen,
                                     u32 max_occ) {
-  std::vector<Anchor> anchors;
-  collect_anchors(index, query_minimizers, qlen, max_occ, anchors);
-  return anchors;
-}
-
-void collect_anchors(const MinimizerIndex& index, const std::vector<Minimizer>& query_minimizers,
-                     u32 qlen, u32 max_occ, std::vector<Anchor>& anchors) {
   const u32 k = index.params().k;
-  anchors.clear();
+  std::vector<Anchor> anchors;
   const std::size_t n = query_minimizers.size();
   for (std::size_t i = 0; i < n; ++i) {
     if (i + kPrefetchDistance < n) index.prefetch(query_minimizers[i + kPrefetchDistance].key);
@@ -50,6 +43,7 @@ void collect_anchors(const MinimizerIndex& index, const std::vector<Minimizer>& 
     if (a.tpos != b.tpos) return a.tpos < b.tpos;
     return a.qpos < b.qpos;
   });
+  return anchors;
 }
 
 }  // namespace manymap

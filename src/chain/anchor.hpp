@@ -26,8 +26,5 @@ struct Anchor {
 std::vector<Anchor> collect_anchors(const MinimizerIndex& index,
                                     const std::vector<Minimizer>& query_minimizers, u32 qlen,
                                     u32 max_occ);
-/// The same into `anchors` (cleared first; its storage is reused).
-void collect_anchors(const MinimizerIndex& index, const std::vector<Minimizer>& query_minimizers,
-                     u32 qlen, u32 max_occ, std::vector<Anchor>& anchors);
 
 }  // namespace manymap

@@ -32,39 +32,14 @@ constexpr u64 kGapCellCap = 2'000'000;
 constexpr u32 kExtensionCap = 2000;
 
 /// Per-thread buffers Mapper::map reuses from read to read, so a warm
-/// thread allocates nothing per DP call: the seeds, the read's other
-/// orientations (the extensions and fills read them in place), the
-/// reversed reference window of a left extension, and the CIGARs being
-/// stitched.
-struct ReadScratch {
-  std::vector<Minimizer> minimizers;
-  std::vector<Anchor> anchors;
-  std::vector<u8> rc;        ///< reverse complement of the read
-  std::vector<u8> rev[2];    ///< oriented read reversed: [0] forward, [1] rc
-  std::vector<u8> rev_window;
+/// thread allocates nothing per DP call: the reversed read and reference
+/// windows of a left extension (the other calls read the contig and the
+/// oriented read in place), and the CIGARs being stitched. Each holds at
+/// most one extension window or one alignment's ops.
+struct StitchScratch {
+  std::vector<u8> rev_query, rev_window;
   Cigar stitch, merged;
 };
-
-/// A scratch buffer one read grew past this is dropped before the next
-/// read, so a thread keeps about a typical read's worth rather than its
-/// longest or most repetitive read's: several threads each holding their
-/// high-water buffers raised peak RSS by ~7 MiB on clr2m_batch.
-constexpr std::size_t kScratchKeepBytes = 64 << 10;
-
-template <class T>
-void drop_if_large(std::vector<T>& v) {
-  if (v.capacity() * sizeof(T) > kScratchKeepBytes) std::vector<T>().swap(v);
-}
-
-/// The calling thread's scratch, with oversized buffers dropped.
-ReadScratch& read_scratch() {
-  static thread_local ReadScratch scratch;
-  drop_if_large(scratch.minimizers);
-  drop_if_large(scratch.anchors);
-  drop_if_large(scratch.rc);
-  for (auto& r : scratch.rev) drop_if_large(r);
-  return scratch;
-}
 
 struct StitchResult {
   u64 t_begin = 0;  ///< reference start of the alignment
@@ -132,11 +107,10 @@ std::vector<Mapping> Mapper::map(const Sequence& read, const MapCall& call) cons
   if (qlen < opt_.sketch.k) return mappings;
 
   WallTimer seed_timer;
-  ReadScratch& scratch = read_scratch();
-  sketch(read.codes, 0, opt_.sketch, scratch.minimizers);
-  collect_anchors(index_, scratch.minimizers, qlen, max_occ_, scratch.anchors);
+  const auto query_minimizers = sketch(read.codes, 0, opt_.sketch);
+  const auto anchors = collect_anchors(index_, query_minimizers, qlen, max_occ_);
   check_deadline();  // after seeding, before chaining
-  auto chains = chain_anchors(scratch.anchors, opt_.chain);
+  auto chains = chain_anchors(anchors, opt_.chain);
   const double seed_chain_s = seed_timer.seconds();
   if (timings != nullptr) timings->seed_chain_seconds += seed_chain_s;
   if (chains.empty()) return mappings;
@@ -168,14 +142,8 @@ std::vector<Mapping> Mapper::map(const Sequence& read, const MapCall& call) cons
   const u32 k = opt_.sketch.k;
   KernelFn kernel = get_diff_kernel(opt_.layout, opt_.isa);
   MM_REQUIRE(kernel != nullptr, "configured kernel unavailable");
-  // The read in both orientations, and each reversed for left
-  // extensions: reversing the reverse complement gives the complement.
-  scratch.rc.resize(qlen);
-  reverse_complement_into(read.codes.data(), qlen, scratch.rc.data());
-  scratch.rev[0].resize(qlen);
-  std::reverse_copy(read.codes.begin(), read.codes.end(), scratch.rev[0].begin());
-  scratch.rev[1].resize(qlen);
-  std::transform(read.codes.begin(), read.codes.end(), scratch.rev[1].begin(), complement_code);
+  const std::vector<u8> rc = reverse_complement(read.codes);
+  static thread_local StitchScratch scratch;
   u64 total_cells = 0;
   u64 kernel_retries = 0;
   u32 deepest_rung = 0;
@@ -306,8 +274,7 @@ std::vector<Mapping> Mapper::map(const Sequence& read, const MapCall& call) cons
 
   for (const auto& chain : chains) {
     check_deadline();  // per-chain: a slow alignment gives up between chains
-    const std::vector<u8>& q = chain.rev ? scratch.rc : read.codes;
-    const std::vector<u8>& q_rev = scratch.rev[chain.rev ? 1 : 0];
+    const std::vector<u8>& q = chain.rev ? rc : read.codes;
     const auto& contig = ref_.contig(chain.rid);
     const u8* const t = contig.codes.data();
     Cigar& cigar = scratch.stitch;
@@ -378,8 +345,8 @@ std::vector<Mapping> Mapper::map(const Sequence& read, const MapCall& call) cons
     }
 
     // --- left extension: before the first anchor's k-mer ---
-    // Both sides run backwards from the k-mer: the query is the reversed
-    // oriented read in place, the target a reversed copy of the window.
+    // Both sides run backwards from the k-mer, on reversed copies of the
+    // <= ext read bases and the reference window before it.
     const u64 kmer_t_start = first.tpos + 1 - k;
     const u32 kmer_q_start = first.qpos + 1 - k;
     s.t_begin = kmer_t_start;
@@ -393,9 +360,11 @@ std::vector<Mapping> Mapper::map(const Sequence& read, const MapCall& call) cons
       std::vector<u8>& target = scratch.rev_window;
       target.resize(window);
       std::reverse_copy(t + (kmer_t_start - window), t + kmer_t_start, target.begin());
+      std::vector<u8>& query = scratch.rev_query;
+      query.resize(ext);
+      std::reverse_copy(q.begin() + (kmer_q_start - ext), q.begin() + kmer_q_start, query.begin());
       auto r = run_kernel(
-          target.data(), window, q_rev.data() + (qlen - kmer_q_start), ext,
-          AlignMode::kExtension,
+          target.data(), window, query.data(), ext, AlignMode::kExtension,
           auto_band_for_extension(window, ext, anchor_density, opt_.auto_band));
       if (r.q_end >= 0) {
         Cigar& merged = scratch.merged;

@@ -63,17 +63,10 @@ __attribute__((target("avx512f"))) void window_minima_avx512(const u64* key, std
 }  // namespace
 
 std::vector<Minimizer> sketch(const std::vector<u8>& seq, u32 rid, const SketchParams& p) {
-  std::vector<Minimizer> out;
-  sketch(seq, rid, p, out);
-  return out;
-}
-
-void sketch(const std::vector<u8>& seq, u32 rid, const SketchParams& p,
-            std::vector<Minimizer>& out) {
   MM_REQUIRE(p.valid(), "sketch params out of range (4 <= k <= 28, 1 <= w <= 256)");
-  out.clear();
+  std::vector<Minimizer> out;
   const std::size_t n = seq.size();
-  if (n < p.k) return;
+  if (n < p.k) return out;
   out.reserve(2 * n / (p.w + 1) + 16);  // random-sequence density is 2/(w+1)
 
   const u64 mask = (1ULL << (2 * p.k)) - 1;
@@ -178,6 +171,7 @@ void sketch(const std::vector<u8>& seq, u32 rid, const SketchParams& p,
       std::memmove(rev_strand.data(), strand + len - (w - 1), w - 1);
     }
   }
+  return out;
 }
 
 }  // namespace manymap

@@ -73,8 +73,5 @@ inline constexpr std::size_t kSketchBlock = 512;
 /// Extract the minimizers of `seq` (codes) by the rule above. Returns
 /// minimizers ordered by position. Requires p.valid().
 std::vector<Minimizer> sketch(const std::vector<u8>& seq, u32 rid, const SketchParams& p);
-/// The same into `out` (cleared first; its storage is reused).
-void sketch(const std::vector<u8>& seq, u32 rid, const SketchParams& p,
-            std::vector<Minimizer>& out);
 
 }  // namespace manymap

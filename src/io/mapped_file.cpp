@@ -97,11 +97,18 @@ std::string read_file(const std::string& path) {
   MM_INJECT("io.file.read");
   std::FILE* f = std::fopen(path.c_str(), "rb");
   MM_REQUIRE(f != nullptr, "cannot open file for reading");
+  // One read into a string sized from the file, then drain anything past
+  // that size (a pipe reports 0 bytes, a file may still be growing).
   std::string out;
+  struct stat st {};
+  if (::fstat(::fileno(f), &st) == 0 && st.st_size > 0)
+    out.resize(static_cast<std::size_t>(st.st_size));
+  out.resize(std::fread(out.data(), 1, out.size(), f));
   char buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, f)) > 0;) out.append(buf, n);
+  const bool failed = std::ferror(f) != 0;
   std::fclose(f);
+  MM_REQUIRE(!failed, "cannot read file");
   return out;
 }
 

@@ -46,7 +46,9 @@ class MappedFile {
 };
 
 /// Read a whole file into a string via buffered stdio (the classic path
-/// the mmap loader is benchmarked against).
+/// the mmap loader is benchmarked against): one read sized from fstat,
+/// then whatever a pipe or growing file still yields. MM_REQUIREs that
+/// the file opens and reads without error.
 std::string read_file(const std::string& path);
 
 /// Write a buffer to a file; MM_REQUIREs success.

@@ -98,10 +98,6 @@ std::size_t count_matches(const u8* a, const u8* b, std::size_t n) {
   return matches;
 }
 
-void reverse_complement_into(const u8* codes, std::size_t n, u8* out) {
-  for (std::size_t i = 0; i < n; ++i) out[n - 1 - i] = complement_code(codes[i]);
-}
-
 std::vector<u8> encode_dna(std::string_view ascii) {
   std::vector<u8> out(ascii.size());
   encode_bases(ascii.data(), ascii.size(), out.data());
@@ -116,7 +112,8 @@ std::string decode_dna(const std::vector<u8>& codes) {
 
 std::vector<u8> reverse_complement(const std::vector<u8>& codes) {
   std::vector<u8> out(codes.size());
-  reverse_complement_into(codes.data(), codes.size(), out.data());
+  for (std::size_t i = 0; i < codes.size(); ++i)
+    out[codes.size() - 1 - i] = complement_code(codes[i]);
   return out;
 }
 

@@ -31,8 +31,6 @@ void encode_bases(const char* ascii, std::size_t n, u8* out);
 /// Number of positions i < n with a[i] == b[i] and a[i] not N (a vector
 /// compare per 16 bases).
 std::size_t count_matches(const u8* a, const u8* b, std::size_t n);
-/// Reverse complement of codes[0, n) into out[0, n).
-void reverse_complement_into(const u8* codes, std::size_t n, u8* out);
 
 /// Encode an ASCII sequence into base codes.
 std::vector<u8> encode_dna(std::string_view ascii);

@@ -3,10 +3,8 @@
 #include <sys/stat.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <memory>
 
 #include "io/mapped_file.hpp"
 
@@ -42,21 +40,6 @@ struct Lines {
     return true;
   }
 };
-
-std::vector<Sequence> parse_stream(std::FILE* f) {
-  // One read into a string sized from the file, then drain anything past
-  // that size (a pipe reports 0 bytes, a file may still be growing).
-  std::string text;
-  struct stat st {};
-  if (::fstat(::fileno(f), &st) == 0 && st.st_size > 0)
-    text.resize(static_cast<std::size_t>(st.st_size));
-  text.resize(std::fread(text.data(), 1, text.size(), f));
-  char chunk[1 << 16];
-  for (std::size_t got; (got = std::fread(chunk, 1, sizeof chunk, f)) > 0;)
-    text.append(chunk, got);
-  MM_REQUIRE(!std::ferror(f), "cannot read sequence file");
-  return parse_sequences(text);
-}
 
 }  // namespace
 
@@ -146,10 +129,7 @@ std::vector<Sequence> read_sequence_file(const std::string& path) {
     MappedFile f;
     if (f.open(path)) return parse_sequences(f.view());
   }
-  const std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(std::fopen(path.c_str(), "rb"),
-                                                          &std::fclose);
-  MM_REQUIRE(f != nullptr, "cannot open sequence file");
-  return parse_stream(f.get());
+  return parse_sequences(read_file(path));
 }
 
 std::string to_fasta(const std::vector<Sequence>& seqs, std::size_t width) {

@@ -10,6 +10,7 @@
 
 #include "base/random.hpp"
 
+#include "io/mapped_file.hpp"
 #include "sequence/dna.hpp"
 #include "sequence/fasta.hpp"
 #include "sequence/sequence.hpp"
@@ -50,7 +51,7 @@ TEST(Dna, BlockDecoderMatchesTheTableForEveryByte) {
   }
 }
 
-TEST(Dna, CountMatchesAndReverseComplementMatchTheScalarRules) {
+TEST(Dna, CountMatchesMatchesTheScalarRule) {
   Rng rng(17);
   for (std::size_t n = 0; n <= 100; ++n) {
     std::vector<u8> a(n + 3), b(n + 3);
@@ -63,9 +64,6 @@ TEST(Dna, CountMatchesAndReverseComplementMatchTheScalarRules) {
       for (std::size_t i = 0; i < n; ++i) want += a[off + i] == b[off + i] && a[off + i] < 4;
       EXPECT_EQ(count_matches(a.data() + off, b.data() + off, n), want);
     }
-    std::vector<u8> rc(n);
-    reverse_complement_into(a.data(), n, rc.data());
-    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(rc[n - 1 - i], complement_code(a[i]));
   }
 }
 
@@ -318,6 +316,17 @@ TEST(SequenceFile, ReadsStreamsOfUnknownSize) {
   std::remove(fifo.c_str());
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].size(), 200'000u);
+}
+
+TEST(SequenceFile, AReadErrorIsFatalNotATruncation) {
+  // A directory opens but fails to read (EISDIR): both the buffered
+  // --no-mmap path and read_sequence_file's fallback must stop, not
+  // parse what they got so far as the whole file.
+  const std::string dir = ::testing::TempDir() + "/mm_read_file.dir";
+  ::mkdir(dir.c_str(), 0700);
+  EXPECT_DEATH(read_file(dir), "cannot read file");
+  EXPECT_DEATH(read_sequence_file(dir), "cannot read file");
+  ::rmdir(dir.c_str());
 }
 
 }  // namespace
