@@ -4,26 +4,13 @@
 
 namespace manymap {
 
-namespace {
-
-/// How many minimizers ahead of its lookup a key's table slot is
-/// prefetched: far enough to hide a DRAM miss behind the lookups in
-/// between, near enough that the line is still cached when probed.
-constexpr std::size_t kPrefetchDistance = 16;
-
-}  // namespace
-
 std::vector<Anchor> collect_anchors(const MinimizerIndex& index,
                                     const std::vector<Minimizer>& query_minimizers, u32 qlen,
                                     u32 max_occ) {
   const u32 k = index.params().k;
   std::vector<Anchor> anchors;
-  const std::size_t n = query_minimizers.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + kPrefetchDistance < n) index.prefetch(query_minimizers[i + kPrefetchDistance].key);
-    const Minimizer& qm = query_minimizers[i];
-    const auto hits = index.lookup(qm.key);
-    if (hits.empty() || hits.size() > max_occ) continue;
+  index.lookup_each(query_minimizers, [&](const Minimizer& qm, std::span<const IndexEntry> hits) {
+    if (hits.size() > max_occ) return;
     for (const auto& h : hits) {
       Anchor a;
       a.rid = h.rid;
@@ -36,7 +23,7 @@ std::vector<Anchor> collect_anchors(const MinimizerIndex& index,
       a.qpos = a.rev ? (qlen - 1 - (qm.pos - (k - 1))) : qm.pos;
       anchors.push_back(a);
     }
-  }
+  });
   std::sort(anchors.begin(), anchors.end(), [](const Anchor& a, const Anchor& b) {
     if (a.rid != b.rid) return a.rid < b.rid;
     if (a.rev != b.rev) return a.rev < b.rev;

@@ -1,26 +1,8 @@
 #include "chain/chain.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace manymap {
-
-namespace {
-
-i32 ilog2(u32 v) {
-  i32 n = 0;
-  while (v >>= 1) ++n;
-  return n;
-}
-
-/// minimap2's gap cost between consecutive anchors.
-i32 gap_cost(u32 dq, u32 dt, u32 seed_length) {
-  const u32 dd = dq > dt ? dq - dt : dt - dq;
-  if (dd == 0) return 0;
-  return static_cast<i32>(0.01 * seed_length * dd) + (ilog2(dd) >> 1);
-}
-
-}  // namespace
 
 std::vector<Chain> chain_anchors(const std::vector<Anchor>& anchors, const ChainParams& p) {
   const std::size_t n = anchors.size();

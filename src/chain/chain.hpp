@@ -4,6 +4,7 @@
 // later refined by base-level alignment.
 #pragma once
 
+#include <bit>
 #include <vector>
 
 #include "chain/anchor.hpp"
@@ -47,6 +48,17 @@ struct Chain {
     return static_cast<u32>(d < 0 ? -d : d);
   }
 };
+
+/// minimap2's gap cost between consecutive anchors, 0.01·k·dd + log2(dd)/2
+/// truncated, where dd = |dq - dt| and k = `seed_length`. The linear term is
+/// computed as (k·dd)/100 in integers; for every k in [4, 28] and every u32
+/// dd that equals the floating-point static_cast<i32>(0.01 * k * dd).
+inline i32 gap_cost(u32 dq, u32 dt, u32 seed_length) {
+  const u32 dd = dq > dt ? dq - dt : dt - dq;
+  if (dd == 0) return 0;
+  return static_cast<i32>(static_cast<u64>(seed_length) * dd / 100) +
+         ((static_cast<i32>(std::bit_width(dd)) - 1) >> 1);
+}
 
 /// Chain sorted anchors; returns chains sorted by score (descending) with
 /// primary/secondary flags assigned by query-interval overlap.

@@ -6,22 +6,6 @@ namespace manymap {
 
 namespace {
 
-/// Finalizer-style bit mixer that places keys in the open-addressing
-/// bucket table.
-u64 bucket_hash(u64 x) {
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ULL;
-  x ^= x >> 33;
-  return x;
-}
-
-/// Slot where the linear probe for `key` starts in a power-of-two table.
-std::size_t home_slot(u64 key, std::size_t table_size) {
-  return bucket_hash(key) & (table_size - 1);
-}
-
 std::size_t table_size_for(std::size_t keys) {
   std::size_t n = 16;
   while (n < keys * 2) n <<= 1;  // load factor <= 0.5
@@ -94,19 +78,8 @@ MinimizerIndex MinimizerIndex::build(const Reference& ref, const SketchParams& p
 
 std::span<const IndexEntry> MinimizerIndex::lookup(u64 key) const {
   if (buckets_.empty()) return {};
-  const std::size_t mask = buckets_.size() - 1;
-  std::size_t slot = home_slot(key, buckets_.size());
-  for (std::size_t probes = 0; probes <= buckets_.size(); ++probes) {
-    const Bucket& b = buckets_[slot];
-    if (b.key == key) return entries_.subspan(b.offset, b.count);
-    if (b.key == ~0ULL) return {};
-    slot = (slot + 1) & mask;
-  }
-  return {};
-}
-
-void MinimizerIndex::prefetch(u64 key) const {
-  if (!buckets_.empty()) __builtin_prefetch(&buckets_[home_slot(key, buckets_.size())]);
+  const Bucket* b = find(key, home_slot(key, buckets_.size()));
+  return b != nullptr ? entries_.subspan(b->offset, b->count) : std::span<const IndexEntry>{};
 }
 
 u32 MinimizerIndex::occurrence_cutoff(double frac) const {

@@ -96,7 +96,7 @@ void MappedFile::close() {
 std::string read_file(const std::string& path) {
   MM_INJECT("io.file.read");
   std::FILE* f = std::fopen(path.c_str(), "rb");
-  MM_REQUIRE(f != nullptr, "cannot open file for reading");
+  if (f == nullptr) throw InputFileError(path, "cannot open '" + path + "': " + errno_text());
   // One read into a string sized from the file, then drain anything past
   // that size (a pipe reports 0 bytes, a file may still be growing).
   std::string out;

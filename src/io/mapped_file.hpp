@@ -4,7 +4,9 @@
 #pragma once
 
 #include <span>
+#include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "base/common.hpp"
 
@@ -45,10 +47,23 @@ class MappedFile {
   std::string last_error_;
 };
 
+/// An input file that cannot be used: one that does not open, or a
+/// reference with no sequences. what() names the path and the reason.
+class InputFileError : public std::runtime_error {
+ public:
+  InputFileError(std::string path, const std::string& message)
+      : std::runtime_error(message), path_(std::move(path)) {}
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
 /// Read a whole file into a string via buffered stdio (the classic path
 /// the mmap loader is benchmarked against): one read sized from fstat,
-/// then whatever a pipe or growing file still yields. MM_REQUIREs that
-/// the file opens and reads without error.
+/// then whatever a pipe or growing file still yields. Throws
+/// InputFileError if the file does not open; MM_REQUIREs that it reads
+/// without error, so an I/O error is never a silent truncation.
 std::string read_file(const std::string& path);
 
 /// Write a buffer to a file; MM_REQUIREs success.

@@ -43,8 +43,10 @@ struct Lines {
 
 }  // namespace
 
-SequenceFormatError::SequenceFormatError(u64 record, const std::string& reason)
-    : std::runtime_error("FASTQ record " + std::to_string(record) + ": " + reason),
+SequenceFormatError::SequenceFormatError(u64 record, const std::string& reason,
+                                         const char* format)
+    : std::runtime_error(std::string(format) + " record " + std::to_string(record) + ": " +
+                         reason),
       record_(record) {}
 
 std::vector<Sequence> parse_fasta(std::string_view text) {
@@ -120,7 +122,9 @@ std::vector<Sequence> parse_sequences(std::string_view text) {
   while (i < text.size() && (text[i] == '\n' || text[i] == '\r' || text[i] == ' ')) ++i;
   if (i >= text.size()) return {};
   if (text[i] == '@') return parse_fastq(text.substr(i));
-  return parse_fasta(text.substr(i));
+  if (text[i] == '>') return parse_fasta(text.substr(i));
+  throw SequenceFormatError(1, "starts with neither '>' (FASTA) nor '@' (FASTQ)",
+                            "FASTA/FASTQ");
 }
 
 std::vector<Sequence> read_sequence_file(const std::string& path) {

@@ -12,11 +12,12 @@
 
 namespace manymap {
 
-/// A malformed FASTQ record: its 1-based number in the file and the
-/// reason, both also in what() ("FASTQ record 2: ...").
+/// A malformed record: its 1-based number in the file and the reason,
+/// both also in what() ("FASTQ record 2: ..."; `format` names the file
+/// type when it is known).
 class SequenceFormatError : public std::runtime_error {
  public:
-  SequenceFormatError(u64 record, const std::string& reason);
+  SequenceFormatError(u64 record, const std::string& reason, const char* format = "FASTQ");
   u64 record() const { return record_; }
 
  private:
@@ -31,13 +32,16 @@ std::vector<Sequence> parse_fasta(std::string_view text);
 /// from the sequence's.
 std::vector<Sequence> parse_fastq(std::string_view text);
 
-/// Auto-detect FASTA vs FASTQ by leading character ('>' vs '@').
+/// Auto-detect FASTA vs FASTQ by leading character ('>' vs '@'). Text
+/// that is empty or blank holds no records; any other first character
+/// throws SequenceFormatError for record 1.
 std::vector<Sequence> parse_sequences(std::string_view text);
 
 /// Read a whole file and parse it. Regular files are mapped and parsed in
 /// place (the mapping is gone when this returns); pipes, FIFOs and files
-/// that cannot be mapped are read through a buffer. MM_REQUIREs the file
-/// exists; throws SequenceFormatError like parse_fastq.
+/// that cannot be mapped are read through a buffer. Throws InputFileError
+/// if the file does not open, and SequenceFormatError like
+/// parse_sequences.
 std::vector<Sequence> read_sequence_file(const std::string& path);
 
 /// Serialize to FASTA with the given line width (0 = single line).

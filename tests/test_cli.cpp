@@ -322,6 +322,57 @@ TEST(Cli, MalformedFastqExitsOneNamingTheRecord) {
   EXPECT_NE(slurp(err).find("FASTQ record 1"), std::string::npos) << slurp(err);
 }
 
+// A file that does not open, an empty reference and a file that is
+// neither FASTA nor FASTQ are input errors: a message naming the path or
+// the record, and exit 1, never an abort.
+TEST(Cli, UnusableInputFilesExitOne) {
+  const std::string ref = tmp("cli_input_ref.fa");
+  const std::string reads = tmp("cli_input_reads.fq");
+  const std::string empty = tmp("cli_input_empty.fa");
+  const std::string neither = tmp("cli_input_neither.fq");
+  const std::string missing = tmp("cli_input_missing.fq");
+  const std::string index = tmp("cli_input.mmi");
+  const std::string err = tmp("cli_input.err");
+  ASSERT_EQ(run_cli("simulate " + ref + " " + reads + " --length 50000 --reads 3"), 0);
+  { std::ofstream out(empty); }
+  { std::ofstream(neither) << "ACGTACGT\nACGT\n"; }
+  std::remove(missing.c_str());
+  const std::pair<std::string, std::string> cases[] = {
+      {"map " + ref + " " + missing, missing},
+      {"map " + ref + " " + missing + " --no-mmap", missing},
+      {"map " + missing + " " + reads, missing},
+      {"index " + missing + " " + index, missing},
+      {"map " + empty + " " + reads, empty},
+      {"map " + empty + " " + reads + " --no-mmap", empty},
+      {"index " + empty + " " + index, empty},
+      {"map " + ref + " " + neither, "record 1"},
+      {"map " + neither + " " + reads + " --no-mmap", "record 1"},
+  };
+  for (const auto& [args, named] : cases) {
+    const int status = run_cli_stderr(args + " > /dev/null", err);
+    ASSERT_TRUE(WIFEXITED(status)) << args;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << args;
+    EXPECT_NE(slurp(err).find(named), std::string::npos) << args << ": " << slurp(err);
+  }
+  for (const auto& path : {ref, reads, empty, neither, err}) std::remove(path.c_str());
+}
+
+// A bad --preset, --layout or --isa value is a usage error like any
+// other bad option: the usage text and exit 2.
+TEST(Cli, BadOptionValuesPrintUsage) {
+  const std::string ref = tmp("cli_values_ref.fa");
+  const std::string reads = tmp("cli_values_reads.fq");
+  const std::string err = tmp("cli_values.err");
+  ASSERT_EQ(run_cli("simulate " + ref + " " + reads + " --length 50000 --reads 3"), 0);
+  for (const char* bad : {"--preset bogus", "--layout bogus", "--isa bogus", "--isa ''"}) {
+    const int status = run_cli_stderr("map " + ref + " " + reads + " " + bad, err);
+    ASSERT_TRUE(WIFEXITED(status)) << bad;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << bad;
+    EXPECT_NE(slurp(err).find("usage:"), std::string::npos) << bad;
+  }
+  for (const auto& path : {ref, reads, err}) std::remove(path.c_str());
+}
+
 // Numeric option validation: zero, negative, or malformed values are
 // config errors answered with the usage message (exit 2), never a silent
 // clamp or a crash. One shared simulate output keeps this fast.
@@ -360,6 +411,24 @@ TEST(Serve, RejectsNonPositiveNumericOptions) {
     // the final occurrence).
     EXPECT_NE(run_serve("--reads 1 --length 10000 " + std::string(bad)), 0) << bad;
   }
+}
+
+TEST(Serve, UnusableInputsExitOneAndBadValuesExitTwo) {
+  const std::string empty = tmp("serve_empty.fq");
+  const std::string missing = tmp("serve_missing.fa");
+  { std::ofstream out(empty); }
+  std::remove(missing.c_str());
+  const auto exit_code = [](const std::string& args) {
+    const int status = run_serve("--length 10000 --reads 2 " + args);
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  };
+  EXPECT_EQ(exit_code("--ref " + missing), 1);
+  EXPECT_EQ(exit_code("--ref " + empty), 1);
+  EXPECT_EQ(exit_code("--reads-file " + missing), 1);
+  EXPECT_EQ(exit_code("--reads-file " + empty), 1);
+  for (const char* bad : {"--preset bogus", "--layout bogus", "--isa bogus"})
+    EXPECT_EQ(exit_code(bad), 2) << bad;
+  std::remove(empty.c_str());
 }
 
 TEST(Serve, MemBudgetRunEndsCleanly) {

@@ -157,6 +157,18 @@ TEST(Fastq, AutoDetect) {
   EXPECT_EQ(parse_sequences(">a\nAC\n")[0].name, "a");
   EXPECT_EQ(parse_sequences("@b\nAC\n+\nII\n")[0].name, "b");
   EXPECT_TRUE(parse_sequences("").empty());
+  EXPECT_TRUE(parse_sequences("\n \r\n").empty());
+  // A first record that is neither FASTA nor FASTQ is an error, not an
+  // empty FASTA file.
+  for (const char* text : {"ACGT\n", "r1\nACGT\n+\nIIII\n", ";comment\n>a\nAC\n"}) {
+    try {
+      parse_sequences(text);
+      ADD_FAILURE() << "no SequenceFormatError for " << text;
+    } catch (const SequenceFormatError& e) {
+      EXPECT_EQ(e.record(), 1u);
+      EXPECT_NE(std::string(e.what()).find("record 1"), std::string::npos) << e.what();
+    }
+  }
 }
 
 /// The line-by-line FASTA reader the single-pass parser replaced: the
@@ -316,6 +328,22 @@ TEST(SequenceFile, ReadsStreamsOfUnknownSize) {
   std::remove(fifo.c_str());
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].size(), 200'000u);
+}
+
+TEST(SequenceFile, AFileThatDoesNotOpenRaisesATypedErrorNamingIt) {
+  const std::string path = ::testing::TempDir() + "/mm_no_such_file.fq";
+  std::remove(path.c_str());
+  for (const bool mapped : {true, false}) {
+    try {
+      if (mapped) read_sequence_file(path);
+      else read_file(path);
+      ADD_FAILURE() << "no InputFileError";
+    } catch (const InputFileError& e) {
+      EXPECT_EQ(e.path(), path);
+      EXPECT_NE(std::string(e.what()).find("cannot open '" + path + "'"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(SequenceFile, AReadErrorIsFatalNotATruncation) {

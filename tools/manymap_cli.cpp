@@ -94,15 +94,16 @@ ArgList parse_args(int argc, char** argv, const std::vector<std::string>& flags)
   return out;
 }
 
-/// Mapped (read_sequence_file) or buffered (--no-mmap) load; a malformed
-/// record throws SequenceFormatError, which main() reports with exit 1.
+/// Mapped (read_sequence_file) or buffered (--no-mmap) load; a file that
+/// does not open throws InputFileError and a malformed record
+/// SequenceFormatError, which main() report with exit 1.
 std::vector<Sequence> load_sequences(const std::string& path, bool use_mmap) {
   return use_mmap ? read_sequence_file(path) : parse_sequences(read_file(path));
 }
 
 Reference load_reference(const std::string& path, bool use_mmap) {
   std::vector<Sequence> contigs = load_sequences(path, use_mmap);
-  MM_REQUIRE(!contigs.empty(), "reference has no sequences");
+  if (contigs.empty()) throw InputFileError(path, "reference '" + path + "' has no sequences");
   Reference ref;
   for (auto& c : contigs) ref.add(std::move(c));
   return ref;
@@ -136,15 +137,26 @@ int cmd_index(const ArgList& args) {
 int cmd_map(const ArgList& args) {
   if (args.positional.size() != 2) return usage();
   const bool use_mmap = !args.has("no-mmap");
-  const Reference ref = load_reference(args.positional[0], use_mmap);
 
   const auto preset = preset_by_name(args.get("preset", "map-pb"));
-  MM_REQUIRE(preset.has_value(), "bad --preset");
+  if (!preset) {
+    std::fprintf(stderr, "manymap: --preset needs map-pb or map-ont, got '%s'\n",
+                 args.get("preset", "").c_str());
+    return usage();
+  }
   MapOptions opt = *preset;
-  MM_REQUIRE(apply_layout_name(opt, args.get("layout", "manymap")), "bad --layout");
-  const std::string isa = args.get("isa", "");
-  if (!isa.empty())
-    MM_REQUIRE(apply_isa_name(opt, isa), "bad --isa or ISA unavailable on this CPU");
+  if (!apply_layout_name(opt, args.get("layout", "manymap"))) {
+    std::fprintf(stderr, "manymap: --layout needs minimap2 or manymap, got '%s'\n",
+                 args.get("layout", "").c_str());
+    return usage();
+  }
+  if (args.has("isa") && !apply_isa_name(opt, args.get("isa", ""))) {
+    std::fprintf(stderr,
+                 "manymap: --isa needs scalar, sse2, avx2 or avx512, available on this CPU; "
+                 "got '%s'\n",
+                 args.get("isa", "").c_str());
+    return usage();
+  }
   if (args.has("band") && !apply_band_option(opt, args.get("band", ""))) {
     std::fprintf(stderr, "manymap: --band needs 'auto' or an integer >= 0 (0 = unbanded), got '%s'\n",
                  args.get("band", "").c_str());
@@ -155,6 +167,8 @@ int cmd_map(const ArgList& args) {
                  args.get("zdrop", "").c_str());
     return usage();
   }
+
+  const Reference ref = load_reference(args.positional[0], use_mmap);
 
   // A saved index is untrusted input: a damaged file or one built from
   // another genome is reported with its typed message, never an abort.
@@ -264,6 +278,9 @@ int main(int argc, char** argv) {
     if (cmd == "map") return cmd_map(args);
     if (cmd == "simulate") return cmd_simulate(args);
   } catch (const SequenceFormatError& e) {
+    std::fprintf(stderr, "manymap: %s\n", e.what());
+    return 1;
+  } catch (const InputFileError& e) {
     std::fprintf(stderr, "manymap: %s\n", e.what());
     return 1;
   }

@@ -67,6 +67,7 @@
 #include "base/timer.hpp"
 #include "core/paf.hpp"
 #include "index/index_io.hpp"
+#include "io/mapped_file.hpp"
 #include "sequence/fasta.hpp"
 #include "service/service.hpp"
 #include "simulate/genome.hpp"
@@ -236,14 +237,48 @@ int main(int argc, char** argv) {
     return usage();
   const u64 seed = static_cast<u64>(*seed_opt);
 
+  // The map options next, so that a bad value is a usage error before
+  // any file is read.
+  ServiceConfig cfg;
+  const auto preset = preset_by_name(args.get("preset", "map-pb"));
+  if (!preset) {
+    std::fprintf(stderr, "manymap_serve: --preset needs map-pb or map-ont, got '%s'\n",
+                 args.get("preset", "").c_str());
+    return usage();
+  }
+  cfg.map = *preset;
+  if (!apply_layout_name(cfg.map, args.get("layout", "manymap"))) {
+    std::fprintf(stderr, "manymap_serve: --layout needs minimap2 or manymap, got '%s'\n",
+                 args.get("layout", "").c_str());
+    return usage();
+  }
+  if (args.has("isa") && !apply_isa_name(cfg.map, args.get("isa", ""))) {
+    std::fprintf(stderr,
+                 "manymap_serve: --isa needs scalar, sse2, avx2 or avx512, available on this "
+                 "CPU; got '%s'\n",
+                 args.get("isa", "").c_str());
+    return usage();
+  }
+
   // 1. Workload: reference + reads, loaded or simulated (fixed seed).
   Reference ref;
   std::vector<Sequence> reads;
   try {
-    if (args.has("ref"))
-      for (auto& c : read_sequence_file(args.get("ref", ""))) ref.add(std::move(c));
-    if (args.has("reads-file")) reads = read_sequence_file(args.get("reads-file", ""));
+    if (args.has("ref")) {
+      const std::string path = args.get("ref", "");
+      for (auto& c : read_sequence_file(path)) ref.add(std::move(c));
+      if (ref.num_contigs() == 0)
+        throw InputFileError(path, "reference '" + path + "' has no sequences");
+    }
+    if (args.has("reads-file")) {
+      const std::string path = args.get("reads-file", "");
+      reads = read_sequence_file(path);
+      if (reads.empty()) throw InputFileError(path, "no reads to replay in '" + path + "'");
+    }
   } catch (const SequenceFormatError& e) {
+    std::fprintf(stderr, "manymap_serve: %s\n", e.what());
+    return 1;
+  } catch (const InputFileError& e) {
     std::fprintf(stderr, "manymap_serve: %s\n", e.what());
     return 1;
   }
@@ -261,16 +296,12 @@ int main(int argc, char** argv) {
     rp.seed = seed + 1;
     for (auto& sr : ReadSimulator(ref, rp).simulate()) reads.push_back(std::move(sr.read));
   }
-  MM_REQUIRE(!reads.empty(), "no reads to replay");
+  if (reads.empty()) {
+    std::fprintf(stderr, "manymap_serve: no reads to replay\n");
+    return 1;
+  }
 
-  // 2. Service config from the shared option names.
-  ServiceConfig cfg;
-  const auto preset = preset_by_name(args.get("preset", "map-pb"));
-  MM_REQUIRE(preset.has_value(), "bad --preset");
-  cfg.map = *preset;
-  MM_REQUIRE(apply_layout_name(cfg.map, args.get("layout", "manymap")), "bad --layout");
-  if (args.has("isa"))
-    MM_REQUIRE(apply_isa_name(cfg.map, args.get("isa", "")), "bad --isa or unavailable");
+  // 2. The rest of the service config from the shared option names.
   if (args.has("band") && !apply_band_option(cfg.map, args.get("band", ""))) {
     std::fprintf(stderr, "manymap_serve: --band needs 'auto' or an integer >= 0 (0 = unbanded), got '%s'\n",
                  args.get("band", "").c_str());
